@@ -8,12 +8,18 @@
 // kernel-vs-interpreted comparison and emits it as JSON (stdout, or a
 // file when a non-flag path is passed as argv[1]) including the
 // single-row and batch speedup factors of the dense kernel over the
-// named-row interpreted path it replaced on the serving hot path.
+// named-row interpreted path it replaced on the serving hot path, and a
+// tree-depth sweep (GBDT depth 4/6/8/12): kernel ScoreBatch, kernel
+// ThresholdBatch and GraphRuntime ns/row per depth — depth 12 is past
+// DenseKernel::kMaxPerfectDepth, so it times the Tree::Predict fallback.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -312,7 +318,107 @@ KernelComparison RunKernelComparison() {
   return result;
 }
 
-void EmitKernelJson(std::FILE* out, const KernelComparison& c) {
+/// One row of the depth sweep: a 30-tree GBDT trained to `depth`.
+struct DepthRow {
+  size_t depth = 0;           // trainer max_depth
+  size_t measured_depth = 0;  // deepest leaf actually grown
+  double kernel_batch_ns_per_row = 0.0;
+  double kernel_threshold_ns_per_row = 0.0;
+  double graph_runtime_ns_per_row = 0.0;
+};
+
+size_t TreeDepth(const flock::ml::Tree& tree, int32_t node) {
+  const flock::ml::TreeNode& n = tree.nodes[static_cast<size_t>(node)];
+  if (n.is_leaf()) return 0;
+  return 1 + std::max(TreeDepth(tree, n.left), TreeDepth(tree, n.right));
+}
+
+/// Best of `reps` timings of `fn` (which scores `rows` rows), in ns/row.
+template <typename Fn>
+double BestNsPerRow(size_t rows, int reps, Fn fn) {
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    flock::Stopwatch timer;
+    fn();
+    const double ns = timer.ElapsedMicros() * 1e3 / static_cast<double>(rows);
+    if (rep == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+std::vector<DepthRow> RunDepthSweep() {
+  const size_t features = 12;
+  const size_t rows = 16384;
+  Random rng(29);
+  flock::ml::Dataset data;
+  data.x = flock::ml::Matrix(rows, features);
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < features; ++c) {
+      data.x.at(r, c) = rng.NextGaussian();
+    }
+    // A label with interactions, so deep trees keep finding splits.
+    const double z = data.x.at(r, 0) * data.x.at(r, 1) +
+                     std::sin(2.0 * data.x.at(r, 2)) - data.x.at(r, 3);
+    data.y[r] = z + 0.3 * rng.NextGaussian() > 0 ? 1.0 : 0.0;
+  }
+  std::vector<DepthRow> out;
+  for (size_t depth : {size_t{4}, size_t{6}, size_t{8}, size_t{12}}) {
+    flock::ml::Pipeline pipeline;
+    std::vector<flock::ml::FeatureSpec> specs;
+    for (size_t c = 0; c < features; ++c) {
+      specs.push_back(flock::ml::FeatureSpec{
+          "f" + std::to_string(c), flock::ml::FeatureKind::kNumeric, {}});
+    }
+    pipeline.SetInputs(std::move(specs));
+    pipeline.FitFeaturizers(data.x, true, true);
+    flock::ml::Dataset transformed;
+    transformed.x = pipeline.Transform(data.x);
+    transformed.y = data.y;
+    flock::ml::GbtOptions gbt;
+    gbt.num_trees = 30;
+    gbt.max_depth = depth;
+    gbt.min_samples_leaf = 2;
+    pipeline.SetTreeModel(
+        flock::ml::TrainGradientBoosting(transformed, gbt));
+    flock::ml::ModelGraph graph = *pipeline.Compile();
+
+    DepthRow row;
+    row.depth = depth;
+    for (const auto& node : graph.nodes()) {
+      for (const auto& tree : node.trees) {
+        row.measured_depth = std::max(row.measured_depth, TreeDepth(tree, 0));
+      }
+    }
+    flock::ml::DenseKernel kernel(graph);
+    flock::ml::GraphRuntime runtime(&graph);
+    flock::ml::DenseKernelScratch scratch;
+    std::vector<double> scores;
+    std::vector<bool> verdicts;
+    const double logit = std::log(0.8 / 0.2);
+    double sink = 0.0;
+    const int reps = 5;
+    row.kernel_batch_ns_per_row = BestNsPerRow(rows, reps, [&] {
+      (void)kernel.ScoreBatch(data.x, &scratch, &scores);
+      sink += scores[0];
+    });
+    row.kernel_threshold_ns_per_row = BestNsPerRow(rows, reps, [&] {
+      (void)kernel.ThresholdBatch(data.x, logit, flock::ml::ThresholdOp::kGt,
+                                  /*before_sigmoid=*/true, &scratch,
+                                  &verdicts);
+      sink += verdicts[0] ? 1.0 : 0.0;
+    });
+    row.graph_runtime_ns_per_row = BestNsPerRow(rows, reps, [&] {
+      sink += runtime.RunToScores(data.x).value()[0];
+    });
+    if (sink == 0.12345) std::fprintf(stderr, "sink %f\n", sink);
+    out.push_back(row);
+  }
+  return out;
+}
+
+void EmitKernelJson(std::FILE* out, const KernelComparison& c,
+                    const std::vector<DepthRow>& sweep) {
   std::fprintf(out, "{\n  \"benchmark\": \"scoring_kernel\",\n");
   std::fprintf(out, "  \"rows\": %zu,\n  \"passes\": %zu,\n", c.rows,
                c.passes);
@@ -326,9 +432,21 @@ void EmitKernelJson(std::FILE* out, const KernelComparison& c) {
                c.kernel_batch_ns_per_row);
   std::fprintf(out, "  \"kernel_single_row_speedup\": %.2f,\n",
                c.single_row_speedup());
-  std::fprintf(out, "  \"kernel_batch_speedup_vs_graph\": %.2f\n",
+  std::fprintf(out, "  \"kernel_batch_speedup_vs_graph\": %.2f,\n",
                c.batch_speedup_vs_graph());
-  std::fprintf(out, "}\n");
+  std::fprintf(out, "  \"depth_sweep\": [\n");
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const DepthRow& r = sweep[i];
+    std::fprintf(out,
+                 "    {\"depth\": %zu, \"measured_depth\": %zu, "
+                 "\"kernel_batch_ns_per_row\": %.1f, "
+                 "\"kernel_threshold_ns_per_row\": %.1f, "
+                 "\"graph_runtime_ns_per_row\": %.1f}%s\n",
+                 r.depth, r.measured_depth, r.kernel_batch_ns_per_row,
+                 r.kernel_threshold_ns_per_row, r.graph_runtime_ns_per_row,
+                 i + 1 < sweep.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
 }
 
 }  // namespace
@@ -357,6 +475,18 @@ int main(int argc, char** argv) {
               comparison.graph_batch_ns_per_row,
               comparison.kernel_batch_ns_per_row,
               comparison.batch_speedup_vs_graph());
+  std::vector<DepthRow> sweep = RunDepthSweep();
+  std::printf("\ndepth sweep (30-tree GBDT, ns/row; depth > %zu uses "
+              "Tree::Predict):\n",
+              flock::ml::DenseKernel::kMaxPerfectDepth);
+  std::printf("  depth  grown  kernel_batch  kernel_threshold  "
+              "graph_runtime  batch_speedup\n");
+  for (const DepthRow& r : sweep) {
+    std::printf("  %5zu  %5zu  %12.1f  %16.1f  %13.1f  %12.2fx\n", r.depth,
+                r.measured_depth, r.kernel_batch_ns_per_row,
+                r.kernel_threshold_ns_per_row, r.graph_runtime_ns_per_row,
+                r.graph_runtime_ns_per_row / r.kernel_batch_ns_per_row);
+  }
   std::FILE* out = stdout;
   if (json_path != nullptr) {
     out = std::fopen(json_path, "w");
@@ -365,7 +495,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  EmitKernelJson(out, comparison);
+  EmitKernelJson(out, comparison, sweep);
   if (out != stdout) {
     std::fclose(out);
     std::printf("kernel comparison written to %s\n", json_path);

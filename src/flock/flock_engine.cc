@@ -48,12 +48,10 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
       cross_optimizer_(&models_, options.cross),
       context_(std::make_shared<ScoringContext>()),
       enable_cross_optimizer_(options.enable_cross_optimizer) {
-  context_->runtime = options.runtime;
-
   RegisterPredictFunctions(sql_engine_.functions(), &models_, context_);
 
   sql_engine_.set_plan_rewriter([this](sql::PlanPtr* plan) -> Status {
-    if (!enable_cross_optimizer_) return Status::OK();
+    if (!enable_cross_optimizer()) return Status::OK();
     return cross_optimizer_.Rewrite(plan);
   });
 
@@ -496,6 +494,12 @@ DeployTransaction FlockEngine::BeginDeployment() {
 void FlockEngine::SetPrincipal(const std::string& principal) {
   std::unique_lock<std::shared_mutex> lock(engine_mu_);
   context_->principal = principal;
+}
+
+void FlockEngine::set_enable_cross_optimizer(bool on) {
+  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  enable_cross_optimizer_.store(on, std::memory_order_release);
+  sql_engine_.plan_cache()->Clear();
 }
 
 void FlockEngine::SetFeatureObserver(FeatureObserver* observer) {

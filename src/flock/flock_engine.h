@@ -1,6 +1,7 @@
 #ifndef FLOCK_FLOCK_FLOCK_ENGINE_H_
 #define FLOCK_FLOCK_FLOCK_ENGINE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -39,7 +40,6 @@ std::string RolloutCandidateKey(const std::string& model);
 struct FlockEngineOptions {
   sql::EngineOptions sql;
   CrossOptimizer::Options cross;
-  RuntimeSelectionOptions runtime;
   /// Master switch for the SQLxML cross-optimizer. Off = "SONNX" config
   /// (in-DB inference, relational optimizations only); on = "SONNX-ext".
   bool enable_cross_optimizer = true;
@@ -213,10 +213,13 @@ class FlockEngine {
   ModelRegistry* models() { return &models_; }
   CrossOptimizer* cross_optimizer() { return &cross_optimizer_; }
 
-  void set_enable_cross_optimizer(bool on) {
-    enable_cross_optimizer_ = on;
+  /// Switches the cross-optimizer on or off. Takes the exclusive lock and
+  /// clears the plan cache, so no statement keeps running a plan that was
+  /// optimized under the other setting.
+  void set_enable_cross_optimizer(bool on);
+  bool enable_cross_optimizer() const {
+    return enable_cross_optimizer_.load(std::memory_order_acquire);
   }
-  bool enable_cross_optimizer() const { return enable_cross_optimizer_; }
 
  private:
   /// True when `sql` is a plain SELECT/EXPLAIN — the only statements a
@@ -265,7 +268,9 @@ class FlockEngine {
   /// under the exclusive lock (UpdateRolloutState / replay / restore).
   std::map<std::string, wal::RolloutSnapshot> rollouts_;
   std::unique_ptr<wal::DurabilityManager> durability_;
-  bool enable_cross_optimizer_ = true;
+  /// Read by the plan rewriter under the shared lock; written only under
+  /// the exclusive one. Atomic so the unlocked getter is race-free too.
+  std::atomic<bool> enable_cross_optimizer_{true};
   /// Replica mode: read-only serving, state applied via replication.
   bool replica_ = false;
   prov::Catalog* replica_catalog_ = nullptr;

@@ -15,13 +15,6 @@
 
 namespace flock::flock {
 
-/// Bound limits for threshold short-circuiting: suffix min/max of remaining
-/// tree contributions, precomputed per model.
-struct TreeSuffixBounds {
-  std::vector<double> suffix_min;  // [i] = min of trees[i..]
-  std::vector<double> suffix_max;
-};
-
 /// Per-input training-time feature statistics, captured from the fitted
 /// pipeline when the model is registered. The lifecycle drift monitor
 /// compares live feature distributions against these; empty when the
@@ -65,10 +58,10 @@ struct ModelEntry {
   bool ends_with_sigmoid = false;
   /// Index of the TreeEnsemble node, or -1.
   int tree_node_id = -1;
-  TreeSuffixBounds bounds;
   /// Compiled dense-slot scoring kernel (built by AnalyzeEntry; shared and
-  /// immutable, so entry copies stay cheap). Null or not-ok kernels fall
-  /// back to GraphRuntime in flock::ScoreBatch.
+  /// immutable, so entry copies stay cheap). It carries the tree layout
+  /// and the threshold suffix bounds. Null or not-ok kernels fall back to
+  /// GraphRuntime in flock::ScoreBatch / ScoreThresholdBatch.
   std::shared_ptr<const ml::DenseKernel> kernel;
   /// Training-time feature statistics (from the pipeline's scaler) for
   /// drift monitoring.
@@ -163,8 +156,8 @@ class ModelRegistry {
   const std::vector<AuditEvent>& audit_log() const { return audit_log_; }
 
   /// Fills `entry`'s precomputed scoring metadata (sigmoid detection, tree
-  /// node index, suffix bounds). Exposed for the optimizer, which builds
-  /// specialized entries by hand.
+  /// node index, compiled kernel, training profile). Exposed for the
+  /// optimizer, which builds specialized entries by hand.
   static void AnalyzeEntry(ModelEntry* entry);
 
  private:

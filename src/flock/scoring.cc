@@ -1,7 +1,7 @@
 #include "flock/scoring.h"
 
 #include <cmath>
-#include <limits>
+#include <string>
 
 #include "ml/runtime.h"
 
@@ -9,6 +9,71 @@ namespace flock::flock {
 
 using storage::ColumnVectorPtr;
 using storage::DataType;
+
+namespace {
+
+/// Copies a numeric (or already index-encoded) column into every
+/// `stride`-th slot of `dst`, one typed loop per column type; NULL → NaN.
+void CopyNumericColumn(const storage::ColumnVector& col, size_t num_rows,
+                       double* dst, size_t stride) {
+  const double nan = std::nan("");
+  switch (col.type()) {
+    case DataType::kDouble: {
+      const double* values = col.doubles().data();
+      for (size_t r = 0; r < num_rows; ++r) {
+        dst[r * stride] = col.IsNull(r) ? nan : values[r];
+      }
+      break;
+    }
+    case DataType::kInt64: {
+      const int64_t* values = col.ints().data();
+      for (size_t r = 0; r < num_rows; ++r) {
+        dst[r * stride] =
+            col.IsNull(r) ? nan : static_cast<double>(values[r]);
+      }
+      break;
+    }
+    case DataType::kBool:
+      for (size_t r = 0; r < num_rows; ++r) {
+        dst[r * stride] =
+            col.IsNull(r) ? nan : (col.bool_at(r) ? 1.0 : 0.0);
+      }
+      break;
+    case DataType::kString:
+      break;  // strings are encoded through a vocabulary instead
+  }
+}
+
+/// Encodes a string column through `vocab` (index of the first match):
+/// NULL or an unknown category → NaN, as Pipeline::EncodeCategorical.
+void EncodeStringColumn(const storage::ColumnVector& col, size_t num_rows,
+                        const std::vector<std::string>& vocab, double* dst,
+                        size_t stride) {
+  const double nan = std::nan("");
+  for (size_t r = 0; r < num_rows; ++r) {
+    double code = nan;
+    if (!col.IsNull(r)) {
+      const std::string& value = col.string_at(r);
+      for (size_t i = 0; i < vocab.size(); ++i) {
+        if (vocab[i] == value) {
+          code = static_cast<double>(i);
+          break;
+        }
+      }
+    }
+    dst[r * stride] = code;
+  }
+}
+
+/// Per-thread kernel scratch: the executor scores one morsel at a time
+/// per thread, and kernels are immutable and shared, so one scratch per
+/// thread serves every model without allocation in steady state.
+ml::DenseKernelScratch* ThreadScratch() {
+  thread_local ml::DenseKernelScratch scratch;
+  return &scratch;
+}
+
+}  // namespace
 
 StatusOr<ml::Matrix> AssembleFeatures(
     const ModelEntry& entry, const std::vector<ColumnVectorPtr>& args,
@@ -26,31 +91,16 @@ StatusOr<ml::Matrix> AssembleFeatures(
     const ml::FeatureSpec& spec =
         entry.pipeline.inputs()[pipeline_input];
     const storage::ColumnVector& col = *args[c];
-    if (spec.kind == ml::FeatureKind::kCategorical) {
-      if (col.type() == DataType::kString) {
-        for (size_t r = 0; r < num_rows; ++r) {
-          raw.at(r, c) =
-              col.IsNull(r)
-                  ? std::nan("")
-                  : entry.pipeline.EncodeCategorical(pipeline_input,
-                                                     col.string_at(r));
-        }
-      } else {
-        // Already index-encoded.
-        for (size_t r = 0; r < num_rows; ++r) {
-          raw.at(r, c) =
-              col.IsNull(r) ? std::nan("") : col.AsDouble(r);
-        }
-      }
+    double* dst = raw.data().data() + c;
+    if (col.type() != DataType::kString) {
+      // Numeric, or a categorical that arrives already index-encoded.
+      CopyNumericColumn(col, num_rows, dst, width);
+    } else if (spec.kind == ml::FeatureKind::kCategorical) {
+      EncodeStringColumn(col, num_rows, spec.vocab, dst, width);
     } else {
-      if (col.type() == DataType::kString) {
-        return Status::InvalidArgument(
-            "numeric feature '" + spec.name + "' of model " + entry.name +
-            " received a string column");
-      }
-      for (size_t r = 0; r < num_rows; ++r) {
-        raw.at(r, c) = col.IsNull(r) ? std::nan("") : col.AsDouble(r);
-      }
+      return Status::InvalidArgument(
+          "numeric feature '" + spec.name + "' of model " + entry.name +
+          " received a string column");
     }
   }
   return raw;
@@ -72,12 +122,10 @@ StatusOr<std::vector<double>> ScoreBatch(const ModelEntry& entry,
   FLOCK_RETURN_NOT_OK(CheckScoringArity(entry, raw));
   if (entry.kernel != nullptr && entry.kernel->ok()) {
     // The compiled dense-slot kernel: slot resolution happened once at
-    // deploy time; scratch buffers are reused across every call on this
-    // thread (the executor scores one morsel at a time per thread, and
-    // the kernel itself is immutable and shared).
-    thread_local ml::DenseKernelScratch scratch;
+    // deploy time.
     std::vector<double> scores;
-    FLOCK_RETURN_NOT_OK(entry.kernel->ScoreBatch(raw, &scratch, &scores));
+    FLOCK_RETURN_NOT_OK(
+        entry.kernel->ScoreBatch(raw, ThreadScratch(), &scores));
     return scores;
   }
   ml::GraphRuntime runtime(&entry.graph);
@@ -107,77 +155,31 @@ StatusOr<std::vector<bool>> ScoreThresholdBatch(const ModelEntry& entry,
     raw_threshold = std::log(threshold / (1.0 - threshold));
   }
 
-  auto compare = [op](double score, double thr) {
-    switch (op) {
-      case ThresholdOp::kGt:
-        return score > thr;
-      case ThresholdOp::kGe:
-        return score >= thr;
-      case ThresholdOp::kLt:
-        return score < thr;
-      case ThresholdOp::kLe:
-        return score <= thr;
-    }
-    return false;
-  };
-
-  // Short-circuit path: boosted tree ensembles (sum semantics) with bounds.
-  const ml::GraphNode* tree_node = nullptr;
-  if (entry.tree_node_id >= 0) {
-    const ml::GraphNode& node =
-        entry.graph.nodes()[static_cast<size_t>(entry.tree_node_id)];
-    if (!node.tree_average && !node.trees.empty()) tree_node = &node;
-  }
-  if (tree_node != nullptr) {
-    ml::GraphRuntime runtime(&entry.graph);
-    FLOCK_ASSIGN_OR_RETURN(
-        ml::Matrix features,
-        runtime.RunToNode(raw, tree_node->inputs[0]));
-    const auto& trees = tree_node->trees;
-    const auto& smin = entry.bounds.suffix_min;
-    const auto& smax = entry.bounds.suffix_max;
-    std::vector<bool> out(n, false);
-    for (size_t r = 0; r < n; ++r) {
-      const double* row = features.row(r);
-      double acc = tree_node->tree_base;
-      bool decided = false;
-      for (size_t t = 0; t < trees.size(); ++t) {
-        acc += trees[t].Predict(row);
-        // Bounds of the final score given remaining trees.
-        double lo = acc + smin[t + 1];
-        double hi = acc + smax[t + 1];
-        // If even the extremes agree with one verdict, stop traversing.
-        if (compare(lo, raw_threshold) == compare(hi, raw_threshold) &&
-            lo <= hi) {
-          out[r] = compare(lo, raw_threshold);
-          decided = true;
-          break;
-        }
-      }
-      if (!decided) out[r] = compare(acc, raw_threshold);
-    }
+  std::vector<bool> out;
+  if (entry.kernel != nullptr && entry.kernel->ok()) {
+    FLOCK_RETURN_NOT_OK(entry.kernel->ThresholdBatch(
+        raw, raw_threshold, op, entry.ends_with_sigmoid, ThreadScratch(),
+        &out));
     return out;
   }
 
-  // Fallback: full scoring, compare at the (possibly raw) output.
+  // Graphs the kernel does not compile: full scoring, then compare at the
+  // sigmoid's input (or at the output).
   ml::GraphRuntime runtime(&entry.graph);
+  std::vector<double> z;
   if (entry.ends_with_sigmoid) {
-    // Score up to the sigmoid's input.
     const ml::GraphNode& sig =
         entry.graph.nodes()[static_cast<size_t>(entry.graph.output_id())];
-    FLOCK_ASSIGN_OR_RETURN(ml::Matrix z,
+    FLOCK_ASSIGN_OR_RETURN(ml::Matrix logits,
                            runtime.RunToNode(raw, sig.inputs[0]));
-    std::vector<bool> out(n);
-    for (size_t r = 0; r < n; ++r) {
-      out[r] = compare(z.at(r, 0), raw_threshold);
-    }
-    return out;
+    z.resize(n);
+    for (size_t r = 0; r < n; ++r) z[r] = logits.at(r, 0);
+  } else {
+    FLOCK_ASSIGN_OR_RETURN(z, runtime.RunToScores(raw));
   }
-  FLOCK_ASSIGN_OR_RETURN(std::vector<double> scores,
-                         runtime.RunToScores(raw));
-  std::vector<bool> out(n);
+  out.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    out[r] = compare(scores[r], raw_threshold);
+    out[r] = ml::EvalThreshold(op, z[r], raw_threshold);
   }
   return out;
 }

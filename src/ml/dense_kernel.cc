@@ -1,11 +1,66 @@
 #include "ml/dense_kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 
 #include "common/cancel.h"
 
 namespace flock::ml {
+
+namespace {
+
+/// Identity row list for steps that traverse every row of a block.
+const uint32_t* AllRows() {
+  static const std::array<uint32_t, DenseKernel::kBlockRows> rows = [] {
+    std::array<uint32_t, DenseKernel::kBlockRows> r{};
+    std::iota(r.begin(), r.end(), 0u);
+    return r;
+  }();
+  return rows.data();
+}
+
+/// Raises `*max_depth` to the depth of the subtree at `node` (a lone leaf
+/// is depth 0). The walk stops one level past `limit`: deeper trees are
+/// not laid out. False when a child index or feature lies outside the
+/// tree or the row.
+bool MeasureDepth(const Tree& tree, int32_t node, size_t depth,
+                  size_t limit, size_t in_cols, size_t* max_depth) {
+  if (node < 0 || static_cast<size_t>(node) >= tree.nodes.size()) {
+    return false;
+  }
+  *max_depth = std::max(*max_depth, depth);
+  const TreeNode& n = tree.nodes[static_cast<size_t>(node)];
+  if (n.is_leaf() || depth > limit) return true;
+  if (static_cast<size_t>(n.feature) >= in_cols) return false;
+  return MeasureDepth(tree, n.left, depth + 1, limit, in_cols, max_depth) &&
+         MeasureDepth(tree, n.right, depth + 1, limit, in_cols, max_depth);
+}
+
+/// Writes the subtree at `node` into perfect-tree slot `q` of one tree's
+/// arrays (`inner` = 2^D - 1 internal slots). A leaf above depth D fills
+/// every perfect leaf below its slot; the internal slots in between keep
+/// their feature-0/threshold-0 padding, whose branch cannot matter.
+void PlaceNode(const Tree& tree, int32_t node, size_t q, size_t inner,
+               int32_t* feature, double* threshold, double* leaf) {
+  const TreeNode& n = tree.nodes[static_cast<size_t>(node)];
+  if (!n.is_leaf()) {
+    feature[q] = n.feature;
+    threshold[q] = n.threshold;
+    PlaceNode(tree, n.left, 2 * q + 1, inner, feature, threshold, leaf);
+    PlaceNode(tree, n.right, 2 * q + 2, inner, feature, threshold, leaf);
+    return;
+  }
+  size_t first = q, span = 1;
+  while (first < inner) {
+    first = 2 * first + 1;
+    span *= 2;
+  }
+  std::fill_n(leaf + (first - inner), span, n.value);
+}
+
+}  // namespace
 
 DenseKernel::DenseKernel(const ModelGraph& graph) {
   input_cols_ = graph.input_cols();
@@ -51,9 +106,13 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
         step.bias = node.gemm_bias;
         break;
       case OpType::kTreeEnsemble:
-        step.trees = node.trees;
         step.tree_base = node.tree_base;
         step.tree_average = node.tree_average;
+        status_ = CompileForest(node.trees, &step);
+        if (!status_.ok()) {
+          steps_.clear();
+          return;
+        }
         break;
       case OpType::kSigmoid:
       case OpType::kRelu:
@@ -77,11 +136,110 @@ DenseKernel::DenseKernel(const ModelGraph& graph) {
   }
 }
 
-const double* DenseKernel::Execute(size_t n,
+Status DenseKernel::CompileForest(const std::vector<Tree>& trees,
+                                  Step* step) {
+  const size_t num_trees = trees.size();
+  step->num_trees = num_trees;
+  size_t depth = 0;
+  for (const Tree& tree : trees) {
+    if (!MeasureDepth(tree, 0, 0, kMaxPerfectDepth, step->in_cols,
+                      &depth)) {
+      return Status::InvalidArgument("dense kernel: malformed tree");
+    }
+  }
+  step->depth = depth;
+  if (depth > kMaxPerfectDepth) {
+    step->deep_trees = trees;
+  } else {
+    const size_t inner = (size_t{1} << depth) - 1;
+    step->node_feature.assign(num_trees * inner, 0);
+    step->node_threshold.assign(num_trees * inner, 0.0);
+    step->leaf_value.assign(num_trees * (inner + 1), 0.0);
+    for (size_t t = 0; t < num_trees; ++t) {
+      PlaceNode(trees[t], 0, 0, inner,
+                step->node_feature.data() + t * inner,
+                step->node_threshold.data() + t * inner,
+                step->leaf_value.data() + t * (inner + 1));
+    }
+  }
+  // Suffix bounds for ThresholdBatch's early exit, accumulated from the
+  // last tree backwards over each tree's leaves in node order.
+  step->suffix_min.assign(num_trees + 1, 0.0);
+  step->suffix_max.assign(num_trees + 1, 0.0);
+  for (size_t i = num_trees; i-- > 0;) {
+    double tree_min = 0.0, tree_max = 0.0;
+    bool first = true;
+    for (const TreeNode& tn : trees[i].nodes) {
+      if (!tn.is_leaf()) continue;
+      if (first) {
+        tree_min = tree_max = tn.value;
+        first = false;
+      } else {
+        tree_min = std::min(tree_min, tn.value);
+        tree_max = std::max(tree_max, tn.value);
+      }
+    }
+    step->suffix_min[i] = step->suffix_min[i + 1] + tree_min;
+    step->suffix_max[i] = step->suffix_max[i + 1] + tree_max;
+  }
+  return Status::OK();
+}
+
+size_t DenseKernel::tree_depth() const {
+  for (const Step& step : steps_) {
+    if (step.op == OpType::kTreeEnsemble) return step.depth;
+  }
+  return 0;
+}
+
+void DenseKernel::AddTree(const Step& step, size_t t, const double* x,
+                          const uint32_t* rows, size_t count, double* acc) {
+  const size_t stride = step.in_cols;
+  if (!step.deep_trees.empty()) {
+    const Tree& tree = step.deep_trees[t];
+    for (size_t i = 0; i < count; ++i) {
+      acc[rows[i]] += tree.Predict(x + rows[i] * stride);
+    }
+    return;
+  }
+  const size_t depth = step.depth;
+  const size_t inner = (size_t{1} << depth) - 1;
+  const int32_t* feature = step.node_feature.data() + t * inner;
+  const double* threshold = step.node_threshold.data() + t * inner;
+  const double* leaf = step.leaf_value.data() + t * (inner + 1);
+  size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const double* row[kLanes];
+    size_t q[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) {
+      row[k] = x + rows[i + k] * stride;
+      q[k] = 0;
+    }
+    for (size_t d = 0; d < depth; ++d) {
+      for (size_t k = 0; k < kLanes; ++k) {
+        q[k] = 2 * q[k] + 1 + !(row[k][feature[q[k]]] < threshold[q[k]]);
+      }
+    }
+    for (size_t k = 0; k < kLanes; ++k) {
+      acc[rows[i + k]] += leaf[q[k] - inner];
+    }
+  }
+  for (; i < count; ++i) {
+    const double* row = x + rows[i] * stride;
+    size_t q = 0;
+    for (size_t d = 0; d < depth; ++d) {
+      q = 2 * q + 1 + !(row[feature[q]] < threshold[q]);
+    }
+    acc[rows[i]] += leaf[q - inner];
+  }
+}
+
+const double* DenseKernel::Execute(size_t n, size_t end,
                                    DenseKernelScratch* scratch) const {
   double* cur = scratch->a_.data();
   double* alt = scratch->b_.data();
-  for (const Step& step : steps_) {
+  for (size_t s = 0; s < end; ++s) {
+    const Step& step = steps_[s];
     const size_t in_cols = step.in_cols;
     const size_t out_cols = step.out_cols;
     switch (step.op) {
@@ -142,14 +300,11 @@ const double* DenseKernel::Execute(size_t n,
         // tree 0, 1, ... so scores are bitwise identical to the row-major
         // order GraphRuntime uses.
         for (size_t r = 0; r < n; ++r) alt[r] = step.tree_base;
-        for (const Tree& tree : step.trees) {
-          for (size_t r = 0; r < n; ++r) {
-            alt[r] += tree.Predict(cur + r * in_cols);
-          }
+        for (size_t t = 0; t < step.num_trees; ++t) {
+          AddTree(step, t, cur, AllRows(), n, alt);
         }
-        if (step.tree_average && !step.trees.empty()) {
-          const double norm =
-              1.0 / static_cast<double>(step.trees.size());
+        if (step.tree_average && step.num_trees > 0) {
+          const double norm = 1.0 / static_cast<double>(step.num_trees);
           for (size_t r = 0; r < n; ++r) {
             alt[r] = step.tree_base + (alt[r] - step.tree_base) * norm;
           }
@@ -186,24 +341,39 @@ double DenseKernel::ScoreRow(const double* row,
   if (scratch->a_.size() < need) scratch->a_.resize(need);
   if (scratch->b_.size() < need) scratch->b_.resize(need);
   std::copy(row, row + input_cols_, scratch->a_.data());
-  return Execute(1, scratch)[0];
+  return Execute(1, steps_.size(), scratch)[0];
 }
 
-Status DenseKernel::ScoreBatch(const Matrix& raw,
-                               DenseKernelScratch* scratch,
-                               std::vector<double>* out) const {
+Status DenseKernel::PrepareBatch(const Matrix& raw,
+                                 DenseKernelScratch* scratch) const {
   FLOCK_RETURN_NOT_OK(status_);
   if (raw.cols() != input_cols_) {
     return Status::InvalidArgument(
         "dense kernel expects " + std::to_string(input_cols_) +
         " input columns, got " + std::to_string(raw.cols()));
   }
-  const size_t n = raw.rows();
-  out->resize(n);
-  const size_t block = std::min(n == 0 ? size_t{1} : n, kBlockRows);
-  const size_t need = block * max_cols_;
+  const size_t need = kBlockRows * max_cols_;
   if (scratch->a_.size() < need) scratch->a_.resize(need);
   if (scratch->b_.size() < need) scratch->b_.resize(need);
+  if (scratch->acc_.size() < kBlockRows) {
+    scratch->acc_.resize(kBlockRows);
+    scratch->active_.resize(kBlockRows);
+  }
+  return Status::OK();
+}
+
+void DenseKernel::LoadBlock(const Matrix& raw, size_t begin, size_t rows,
+                            DenseKernelScratch* scratch) const {
+  const double* src = raw.row(begin);
+  std::copy(src, src + rows * input_cols_, scratch->a_.data());
+}
+
+Status DenseKernel::ScoreBatch(const Matrix& raw,
+                               DenseKernelScratch* scratch,
+                               std::vector<double>* out) const {
+  FLOCK_RETURN_NOT_OK(PrepareBatch(raw, scratch));
+  const size_t n = raw.rows();
+  out->resize(n);
   // The per-block cancellation poll: with deep ensembles a single batch
   // can take tens of milliseconds, so the executor's morsel-boundary
   // check alone would not bound kill latency. The request token arrives
@@ -211,21 +381,90 @@ Status DenseKernel::ScoreBatch(const Matrix& raw,
   // scoring is reached through expression evaluation, which has no
   // context parameter path.
   const CancelToken& cancel = CancelToken::Current();
-  for (size_t begin = 0; begin < n; begin += block) {
+  // The final step is width >= 1 per row; score is column 0. When the
+  // last step was in-place (e.g. trailing Sigmoid over a 1-wide buffer),
+  // rows are packed at the final step's output width.
+  const size_t stride = steps_.back().out_cols;
+  for (size_t begin = 0; begin < n; begin += kBlockRows) {
     FLOCK_RETURN_NOT_OK(cancel.Check("dense_kernel.block"));
-    const size_t rows = std::min(block, n - begin);
-    for (size_t r = 0; r < rows; ++r) {
-      const double* src = raw.row(begin + r);
-      std::copy(src, src + input_cols_,
-                scratch->a_.data() + r * input_cols_);
-    }
-    const double* scores = Execute(rows, scratch);
-    // The final step is width >= 1 per row; score is column 0. When the
-    // last step was in-place (e.g. trailing Sigmoid over a 1-wide
-    // buffer), rows are packed at the final step's output width.
-    const size_t stride = steps_.back().out_cols;
+    const size_t rows = std::min(kBlockRows, n - begin);
+    LoadBlock(raw, begin, rows, scratch);
+    const double* scores = Execute(rows, steps_.size(), scratch);
     for (size_t r = 0; r < rows; ++r) {
       (*out)[begin + r] = scores[r * stride];
+    }
+  }
+  return Status::OK();
+}
+
+Status DenseKernel::ThresholdBatch(const Matrix& raw, double threshold,
+                                   ThresholdOp op, bool before_sigmoid,
+                                   DenseKernelScratch* scratch,
+                                   std::vector<bool>* out) const {
+  FLOCK_RETURN_NOT_OK(PrepareBatch(raw, scratch));
+  size_t end = steps_.size();
+  if (before_sigmoid) {
+    if (steps_.back().op != OpType::kSigmoid) {
+      return Status::InvalidArgument(
+          "dense kernel: plan does not end in Sigmoid");
+    }
+    --end;
+  }
+  // Early exit applies to a boosted (summed) ensemble producing z; an
+  // averaged forest, or any other plan, scores fully and compares.
+  const Step* forest = nullptr;
+  if (end > 0 && steps_[end - 1].op == OpType::kTreeEnsemble &&
+      !steps_[end - 1].tree_average && steps_[end - 1].num_trees > 0) {
+    forest = &steps_[end - 1];
+  }
+  const size_t stride = end == 0 ? input_cols_ : steps_[end - 1].out_cols;
+  const size_t n = raw.rows();
+  out->assign(n, false);
+  const CancelToken& cancel = CancelToken::Current();
+  for (size_t begin = 0; begin < n; begin += kBlockRows) {
+    FLOCK_RETURN_NOT_OK(cancel.Check("dense_kernel.block"));
+    const size_t rows = std::min(kBlockRows, n - begin);
+    LoadBlock(raw, begin, rows, scratch);
+    if (forest == nullptr) {
+      const double* z = Execute(rows, end, scratch);
+      for (size_t r = 0; r < rows; ++r) {
+        (*out)[begin + r] = EvalThreshold(op, z[r * stride], threshold);
+      }
+      continue;
+    }
+    const double* x = Execute(rows, end - 1, scratch);
+    double* acc = scratch->acc_.data();
+    uint32_t* active = scratch->active_.data();
+    size_t live = rows;
+    for (size_t r = 0; r < rows; ++r) {
+      acc[r] = forest->tree_base;
+      active[r] = static_cast<uint32_t>(r);
+    }
+    for (size_t t = 0; t < forest->num_trees && live > 0; ++t) {
+      AddTree(*forest, t, x, active, live, acc);
+      // The final score lies in [acc + smin, acc + smax] given the trees
+      // still to come; a row whose whole interval falls on one side of
+      // the threshold is decided now and leaves the active list.
+      const double lo_rest = forest->suffix_min[t + 1];
+      const double hi_rest = forest->suffix_max[t + 1];
+      size_t kept = 0;
+      for (size_t i = 0; i < live; ++i) {
+        const uint32_t r = active[i];
+        const double lo = acc[r] + lo_rest;
+        const double hi = acc[r] + hi_rest;
+        const bool verdict = EvalThreshold(op, lo, threshold);
+        if (verdict == EvalThreshold(op, hi, threshold) && lo <= hi) {
+          (*out)[begin + r] = verdict;
+        } else {
+          active[kept++] = r;
+        }
+      }
+      live = kept;
+    }
+    // Rows never decided (a NaN sum or bound) compare their full score.
+    for (size_t i = 0; i < live; ++i) {
+      const uint32_t r = active[i];
+      (*out)[begin + r] = EvalThreshold(op, acc[r], threshold);
     }
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 #ifndef FLOCK_ML_DENSE_KERNEL_H_
 #define FLOCK_ML_DENSE_KERNEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status_or.h"
@@ -8,6 +9,24 @@
 #include "ml/matrix.h"
 
 namespace flock::ml {
+
+/// Comparison direction of a threshold predicate `score OP t`.
+enum class ThresholdOp { kGt, kGe, kLt, kLe };
+
+/// `score OP threshold`; false for a NaN score under every op.
+inline bool EvalThreshold(ThresholdOp op, double score, double threshold) {
+  switch (op) {
+    case ThresholdOp::kGt:
+      return score > threshold;
+    case ThresholdOp::kGe:
+      return score >= threshold;
+    case ThresholdOp::kLt:
+      return score < threshold;
+    case ThresholdOp::kLe:
+      return score <= threshold;
+  }
+  return false;
+}
 
 /// Reusable scratch buffers for DenseKernel execution. One per thread (or
 /// per call site); the kernel itself stays immutable and shareable. The
@@ -20,9 +39,13 @@ class DenseKernelScratch {
  private:
   friend class DenseKernel;
   std::vector<double> a_, b_;
+  // ThresholdBatch: per-row running tree sums and the undecided rows.
+  std::vector<double> acc_;
+  std::vector<uint32_t> active_;
 };
 
-/// Compiled dense-slot scoring kernel — the production scoring path.
+/// Compiled dense-slot scoring kernel — the production scoring path for
+/// PREDICT and PREDICT_GT/GE/LT/LE.
 ///
 /// Where `RowScorer` interprets a pipeline through per-step named-feature
 /// maps (the Figure-4 "scikit-learn" baseline) and `GraphRuntime`
@@ -33,15 +56,30 @@ class DenseKernelScratch {
 /// one-hot layout, gemm weights, trees) copied into the kernel so it is
 /// self-contained and immutable afterwards.
 ///
+/// Tree layout: a TreeEnsemble step whose max depth D is at most
+/// `kMaxPerfectDepth` is laid out as perfect trees in struct-of-arrays
+/// form — per tree `2^D-1` int32 feature slots, `2^D-1` double thresholds
+/// and `2^D` leaves, tree after tree. A leaf above depth D is padded by
+/// copying its value into every descendant leaf, so the branch taken under
+/// the padding does not matter. Traversal is branch-free, always D steps
+/// of `q = 2q+1 + !(x[f[q]] < t[q])` (NaN goes right, as in
+/// `Tree::Predict`), tree-major over a block with 8 rows in flight per
+/// tree. Deeper ensembles keep the pointer-chasing `Tree::Predict`
+/// loop — the only fallback.
+///
 /// Execution contracts:
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
 ///    warmed scratch).
-///  * `ScoreBatch` scores a whole matrix/morsel in one call, processing
-///    rows in blocks so elementwise steps run over contiguous buffers and
-///    tree ensembles traverse *tree-major* over the block (each tree's
-///    nodes stay hot in cache across the rows of the block). Summation
-///    order per row is unchanged, so results are bitwise identical to
-///    `ScoreRow` and to `GraphRuntime`.
+///  * `ScoreBatch` scores a whole matrix/morsel in blocks of `kBlockRows`
+///    rows. Summation order per row is unchanged, so results are bitwise
+///    identical to `ScoreRow` and to `GraphRuntime`.
+///  * `ThresholdBatch` evaluates `score OP t` per row. For a boosted
+///    ensemble ending the compared prefix, it walks the trees tree-major
+///    over the block's undecided rows and, after every tree, decides the
+///    rows whose final score is already bounded to one side of `t` by the
+///    suffix min/max of the remaining trees' leaves; those rows leave the
+///    active list. Other plans score fully and compare.
+///  Both batch entry points poll the request's `CancelToken` per block.
 ///
 /// Only linear single-input op chains are compiled (which is everything
 /// `Pipeline::Compile` and the cross-optimizer emit). Graphs using Concat
@@ -53,13 +91,17 @@ class DenseKernel {
   /// during construction; it need not outlive the kernel.
   explicit DenseKernel(const ModelGraph& graph);
 
-  /// True when the graph compiled to a dense plan; `ScoreRow`/`ScoreBatch`
-  /// must only be called on an ok kernel.
+  /// True when the graph compiled to a dense plan; the scoring entry
+  /// points must only be called on an ok kernel.
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
   size_t input_cols() const { return input_cols_; }
   size_t num_steps() const { return steps_.size(); }
+  /// Max depth of the plan's tree ensemble, counted up to
+  /// kMaxPerfectDepth + 1 (0 without one). Ensembles deeper than
+  /// kMaxPerfectDepth traverse through `Tree::Predict`.
+  size_t tree_depth() const;
 
   /// Scores one dense row of exactly `input_cols()` values (categoricals
   /// index-encoded, NULLs as NaN — the AssembleFeatures layout).
@@ -71,10 +113,24 @@ class DenseKernel {
   Status ScoreBatch(const Matrix& raw, DenseKernelScratch* scratch,
                     std::vector<double>* out) const;
 
-  /// Rows per block in ScoreBatch; exposed for tests/benches.
-  static constexpr size_t kBlockRows = 256;
+  /// Writes `z OP threshold` for every row of `raw` into `out` (resized
+  /// to raw.rows()). z is the final score, or — with `before_sigmoid`,
+  /// for a plan ending in Sigmoid — the Sigmoid's input, so the caller can
+  /// pass a logit threshold. A NaN z compares false under every op.
+  Status ThresholdBatch(const Matrix& raw, double threshold, ThresholdOp op,
+                        bool before_sigmoid, DenseKernelScratch* scratch,
+                        std::vector<bool>* out) const;
 
+  /// Rows per block in the batch entry points; exposed for tests/benches.
+  static constexpr size_t kBlockRows = 256;
+  /// Deepest ensemble laid out as perfect trees (a depth-10 tree is
+  /// ~20 KB); deeper ones keep `Tree::Predict`.
+  static constexpr size_t kMaxPerfectDepth = 10;
  private:
+  /// Rows traversed side by side per tree, for instruction-level
+  /// parallelism across the independent node loads.
+  static constexpr size_t kLanes = 8;
+
   struct Step {
     OpType op = OpType::kIdentity;
     size_t in_cols = 0;
@@ -88,18 +144,42 @@ class DenseKernel {
     // kGemm
     Matrix weights;  // [out_cols x in_cols]
     std::vector<double> bias;
-    // kTreeEnsemble
-    std::vector<Tree> trees;
+    // kTreeEnsemble: perfect layout (depth <= kMaxPerfectDepth) in
+    // node_feature/node_threshold/leaf_value, else deep_trees.
+    size_t num_trees = 0;
+    size_t depth = 0;
+    std::vector<int32_t> node_feature;   // num_trees * (2^depth - 1)
+    std::vector<double> node_threshold;  // num_trees * (2^depth - 1)
+    std::vector<double> leaf_value;      // num_trees * 2^depth
+    std::vector<Tree> deep_trees;
+    // [t] = sum over trees t.. of their min/max leaf; [num_trees] = 0.
+    std::vector<double> suffix_min, suffix_max;
     double tree_base = 0.0;
     bool tree_average = false;
     // kBinarizer
     double binarizer_threshold = 0.5;
   };
 
-  /// Runs all steps over `n` rows held densely in scratch buffer `a_`
-  /// (row-major, in_cols wide). Leaves the output in whichever buffer the
-  /// last step wrote and returns a pointer to it.
-  const double* Execute(size_t n, DenseKernelScratch* scratch) const;
+  /// Lays `trees` out into `step` (perfect or deep, plus suffix bounds).
+  static Status CompileForest(const std::vector<Tree>& trees, Step* step);
+
+  /// Adds tree `t`'s leaf for each of the `count` listed rows of the
+  /// block `x` (row stride = step.in_cols) to `acc[row]`.
+  static void AddTree(const Step& step, size_t t, const double* x,
+                      const uint32_t* rows, size_t count, double* acc);
+
+  /// Runs steps [0, end) over `n` rows held densely in scratch buffer
+  /// `a_` (row-major, input_cols wide). Leaves the output in whichever
+  /// buffer the last step wrote and returns a pointer to it.
+  const double* Execute(size_t n, size_t end,
+                        DenseKernelScratch* scratch) const;
+
+  /// Checks arity and sizes `scratch` for blocks of `raw`'s rows.
+  Status PrepareBatch(const Matrix& raw, DenseKernelScratch* scratch) const;
+
+  /// Copies rows [begin, begin+rows) of `raw` into scratch buffer `a_`.
+  void LoadBlock(const Matrix& raw, size_t begin, size_t rows,
+                 DenseKernelScratch* scratch) const;
 
   Status status_;
   size_t input_cols_ = 0;

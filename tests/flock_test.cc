@@ -180,6 +180,48 @@ TEST_F(FlockEngineTest, OptimizerEquivalenceAcrossThresholdsAndOps) {
   }
 }
 
+TEST_F(FlockEngineTest, OptimizerToggleReplansCachedStatement) {
+  // The plan cache keys on SQL text alone, so toggling the optimizer must
+  // drop plans optimized under the other setting: the statement re-plans,
+  // EXPLAIN gains or loses the pushed-up PREDICT_GT, and re-enabling runs
+  // the rewrites again. (Rewrite stats describe the latest Rewrite call.)
+  const std::string query = "SELECT id FROM users WHERE income > 50 AND " +
+                            PredictCall() + " > 0.7 ORDER BY id";
+  auto has_push_up = [&] {
+    return Exec("EXPLAIN " + query).plan_text.find("PREDICT_GT") !=
+           std::string::npos;
+  };
+  const auto& stats = engine_.cross_optimizer()->stats();
+  ASSERT_TRUE(engine_.enable_cross_optimizer());
+  auto optimized = Exec(query);
+  EXPECT_EQ(stats.predicates_pushed_up, 1u);
+  EXPECT_TRUE(Exec(query).from_plan_cache);
+  // A statement without an ML predicate leaves zeroed rewrite stats.
+  Exec("SELECT " + PredictCall() + " FROM users LIMIT 1");
+  ASSERT_EQ(stats.predicates_pushed_up, 0u);
+
+  engine_.set_enable_cross_optimizer(false);
+  auto plain = Exec(query);
+  EXPECT_FALSE(plain.from_plan_cache);
+  EXPECT_NE(plain.plan_digest, optimized.plan_digest);
+  EXPECT_EQ(stats.predicates_pushed_up, 0u);
+  EXPECT_FALSE(has_push_up());
+
+  engine_.set_enable_cross_optimizer(true);
+  auto again = Exec(query);
+  EXPECT_FALSE(again.from_plan_cache);
+  EXPECT_EQ(again.plan_digest, optimized.plan_digest);
+  EXPECT_EQ(stats.predicates_pushed_up, 1u);
+  EXPECT_TRUE(has_push_up());
+
+  ASSERT_EQ(plain.batch.num_rows(), optimized.batch.num_rows());
+  ASSERT_EQ(again.batch.num_rows(), optimized.batch.num_rows());
+  for (size_t i = 0; i < optimized.batch.num_rows(); ++i) {
+    EXPECT_EQ(plain.batch.column(0)->int_at(i),
+              optimized.batch.column(0)->int_at(i));
+  }
+}
+
 TEST_F(FlockEngineTest, CrossOptimizerReportsRewrites) {
   Exec("SELECT id FROM users WHERE income > 50 AND " + PredictCall() +
        " > 0.7");
@@ -332,14 +374,19 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
   // exclusive lock, so every concurrent query must see a working model —
   // either the prior version or the restored one — and never fail.
   // Run under TSan to verify the cutover path is race-free.
+  constexpr int kScorers = 2;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scored{0};
   std::atomic<uint64_t> failed{0};
+  // Queries finished per scorer; the deployer waits on these so every
+  // commit really races live scorers instead of finishing before the
+  // threads have started.
+  std::atomic<uint64_t> finished[kScorers] = {};
   std::mutex err_mu;
   std::string first_error;
   std::vector<std::thread> scorers;
-  for (int t = 0; t < 2; ++t) {
-    scorers.emplace_back([&] {
+  for (int t = 0; t < kScorers; ++t) {
+    scorers.emplace_back([&, t] {
       // The pause between queries leaves write-lock windows: glibc's
       // rwlock favors readers, so back-to-back shared acquisitions from
       // two threads would starve Commit's exclusive lock indefinitely.
@@ -353,11 +400,29 @@ TEST_F(FlockEngineTest, DeployRollbackRacesConcurrentScorers) {
           std::lock_guard<std::mutex> lock(err_mu);
           if (first_error.empty()) first_error = r.status().ToString();
         }
+        finished[t].fetch_add(1, std::memory_order_release);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }
+  // Waits until every scorer has finished at least one more query.
+  auto await_scorers = [&] {
+    uint64_t seen[kScorers];
+    for (int t = 0; t < kScorers; ++t) {
+      seen[t] = finished[t].load(std::memory_order_acquire);
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (int t = 0; t < kScorers; ++t) {
+      while (finished[t].load(std::memory_order_acquire) == seen[t]) {
+        if (std::chrono::steady_clock::now() > give_up) return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    return true;
+  };
   for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(await_scorers()) << "scorers stalled before commit " << i;
     DeployTransaction txn = engine_.BeginDeployment();
     txn.StageRegister("churn", pipeline_, "tester", "race-candidate");
     txn.StageDrop("does_not_exist");  // forces failure + undo-restore
@@ -381,35 +446,6 @@ TEST_F(FlockEngineTest, NullFeaturesGoThroughImputer) {
   EXPECT_FALSE(std::isnan(s));
   EXPECT_GE(s, 0.0);
   EXPECT_LE(s, 1.0);
-}
-
-TEST_F(FlockEngineTest, RuntimeSelectionSmallBatchMatchesVectorized) {
-  FlockEngineOptions options = MakeOptions();
-  options.runtime.small_batch_threshold = 1u << 30;  // force row path
-  FlockEngine row_engine(options);
-  // Rebuild schema/data/model in the second engine via SQL + API.
-  auto src = engine_.database()->GetTable("users");
-  ASSERT_TRUE(src.ok());
-  ASSERT_TRUE(row_engine.database()
-                  ->CreateTable("users", (*src)->schema())
-                  .ok());
-  auto dst = row_engine.database()->GetTable("users");
-  ASSERT_TRUE(dst.ok());
-  ASSERT_TRUE((*dst)->AppendBatch((*src)->ScanRange(0, 128)).ok());
-  ASSERT_TRUE(row_engine.DeployModel("churn", pipeline_).ok());
-  row_engine.set_enable_cross_optimizer(false);
-
-  auto interpreted = row_engine.Execute(
-      "SELECT " + PredictCall() + " FROM users ORDER BY id");
-  ASSERT_TRUE(interpreted.ok());
-  engine_.set_enable_cross_optimizer(false);
-  auto vectorized = Exec("SELECT " + PredictCall() +
-                         " FROM users ORDER BY id LIMIT 128");
-  ASSERT_EQ(interpreted->batch.num_rows(), 128u);
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_NEAR(interpreted->batch.column(0)->double_at(i),
-                vectorized.batch.column(0)->double_at(i), 1e-9);
-  }
 }
 
 // --- scoring unit checks ---------------------------------------------------
@@ -471,6 +507,70 @@ TEST(ScoringTest, ThresholdBatchMatchesFullScoring) {
       }
     }
   }
+}
+
+TEST(ScoringTest, AssembleFeaturesTypedColumns) {
+  // One typed loop per column type: DOUBLE, BIGINT and BOOL numerics, a
+  // string categorical through its vocabulary, and a categorical that
+  // arrives already index-encoded. NULLs and unknown categories → NaN.
+  ml::Pipeline pipeline;
+  pipeline.SetInputs(
+      {ml::FeatureSpec{"d", ml::FeatureKind::kNumeric, {}},
+       ml::FeatureSpec{"i", ml::FeatureKind::kNumeric, {}},
+       ml::FeatureSpec{"b", ml::FeatureKind::kNumeric, {}},
+       ml::FeatureSpec{"s", ml::FeatureKind::kCategorical, {"a", "b", "c"}},
+       ml::FeatureSpec{"k", ml::FeatureKind::kCategorical, {"x", "y"}}});
+  ml::LinearModel lm;
+  lm.weights.assign(pipeline.feature_width(), 0.5);
+  pipeline.SetLinearModel(lm);
+  ModelEntry entry;
+  entry.name = "typed";
+  entry.pipeline = pipeline;
+  entry.graph = *pipeline.Compile();
+  ModelRegistry::AnalyzeEntry(&entry);
+
+  auto d = std::make_shared<storage::ColumnVector>(DataType::kDouble);
+  d->AppendDouble(1.5);
+  d->AppendNull();
+  d->AppendDouble(-2.25);
+  auto i = std::make_shared<storage::ColumnVector>(DataType::kInt64);
+  i->AppendInt(7);
+  i->AppendInt(-3);
+  i->AppendNull();
+  auto b = std::make_shared<storage::ColumnVector>(DataType::kBool);
+  b->AppendNull();
+  b->AppendBool(true);
+  b->AppendBool(false);
+  auto str = std::make_shared<storage::ColumnVector>(DataType::kString);
+  str->AppendString("c");
+  str->AppendString("zzz");  // unknown category
+  str->AppendNull();
+  auto k = std::make_shared<storage::ColumnVector>(DataType::kInt64);
+  k->AppendInt(1);
+  k->AppendNull();
+  k->AppendInt(0);
+
+  auto raw = AssembleFeatures(entry, {d, i, b, str, k}, 3);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const double nan = std::nan("");
+  const std::vector<std::vector<double>> expected = {
+      {1.5, 7.0, nan, 2.0, 1.0},
+      {nan, -3.0, 1.0, nan, nan},
+      {-2.25, nan, 0.0, nan, 0.0}};
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 5; ++c) {
+      const double got = raw->at(r, c);
+      if (std::isnan(expected[r][c])) {
+        EXPECT_TRUE(std::isnan(got)) << "row " << r << " col " << c;
+      } else {
+        EXPECT_EQ(got, expected[r][c]) << "row " << r << " col " << c;
+      }
+    }
+  }
+
+  // A string column fed to a numeric feature is an error, not a zero.
+  auto bad = AssembleFeatures(entry, {str, i, b, str, k}, 3);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScoringTest, DegenerateThresholdsResolveStatically) {

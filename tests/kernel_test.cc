@@ -8,7 +8,10 @@
 //     and the GraphRuntime produce BITWISE-identical scores. Not "close":
 //     the kernel replaced the named-row scorer on the serving hot path,
 //     so any ulp of drift would surface as nondeterministic predictions
-//     across deploys.
+//     across deploys. The same holds for hand-built ragged ensembles
+//     (padded into the perfect-tree layout) and for ensembles deeper than
+//     the layout cap (Tree::Predict fallback), and ThresholdBatch
+//     verdicts equal a reference per-row Tree::Predict early-exit loop.
 //
 //  2. Robustness bug-sweep: zero-variance scaler columns no longer divide
 //     by zero, rows missing features score as NaN-imputed instead of
@@ -23,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -33,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "flock/model_registry.h"
@@ -255,6 +260,282 @@ TEST(DenseKernelTest, ScratchReuseAcrossModelsIsClean) {
   for (size_t r = 0; r < raw.rows(); ++r) {
     EXPECT_PRED2(BitEq, reused[r], expected[r]) << "row " << r;
   }
+}
+
+// ---------------------------------------------------------------------------
+// 1b. Threshold verdicts: kernel vs a reference early-exit loop.
+
+/// The reference PREDICT_GT/GE/LT/LE path, as scoring ran before the
+/// kernel decided thresholds: a trailing Sigmoid folds into a logit
+/// threshold; a boosted ensemble takes its input features from
+/// GraphRuntime::RunToNode and walks each row tree by tree through
+/// Tree::Predict, stopping once the suffix min/max of the remaining
+/// trees' leaves put the final sum on one side of the threshold; any
+/// other plan scores fully and compares.
+std::vector<bool> ReferenceVerdicts(const flock::ModelEntry& entry,
+                                    const Matrix& raw, double threshold,
+                                    ml::ThresholdOp op) {
+  const size_t n = raw.rows();
+  double t = threshold;
+  if (entry.ends_with_sigmoid) {
+    if (threshold <= 0.0) {
+      return std::vector<bool>(
+          n, op == ml::ThresholdOp::kGt || op == ml::ThresholdOp::kGe);
+    }
+    if (threshold >= 1.0) {
+      return std::vector<bool>(
+          n, op == ml::ThresholdOp::kLt || op == ml::ThresholdOp::kLe);
+    }
+    t = std::log(threshold / (1.0 - threshold));
+  }
+  GraphRuntime runtime(&entry.graph);
+  std::vector<bool> out(n);
+  const GraphNode* forest = nullptr;
+  if (entry.tree_node_id >= 0) {
+    const GraphNode& node =
+        entry.graph.nodes()[static_cast<size_t>(entry.tree_node_id)];
+    if (!node.tree_average && !node.trees.empty()) forest = &node;
+  }
+  if (forest != nullptr) {
+    const auto& trees = forest->trees;
+    std::vector<double> smin(trees.size() + 1, 0.0);
+    std::vector<double> smax(trees.size() + 1, 0.0);
+    for (size_t i = trees.size(); i-- > 0;) {
+      double lo = 0.0, hi = 0.0;
+      bool first = true;
+      for (const ml::TreeNode& tn : trees[i].nodes) {
+        if (!tn.is_leaf()) continue;
+        lo = first ? tn.value : std::min(lo, tn.value);
+        hi = first ? tn.value : std::max(hi, tn.value);
+        first = false;
+      }
+      smin[i] = smin[i + 1] + lo;
+      smax[i] = smax[i + 1] + hi;
+    }
+    auto features = runtime.RunToNode(raw, forest->inputs[0]);
+    EXPECT_TRUE(features.ok());
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = features->row(r);
+      double acc = forest->tree_base;
+      bool decided = false;
+      for (size_t k = 0; k < trees.size() && !decided; ++k) {
+        acc += trees[k].Predict(row);
+        const double lo = acc + smin[k + 1];
+        const double hi = acc + smax[k + 1];
+        if (ml::EvalThreshold(op, lo, t) == ml::EvalThreshold(op, hi, t) &&
+            lo <= hi) {
+          out[r] = ml::EvalThreshold(op, lo, t);
+          decided = true;
+        }
+      }
+      if (!decided) out[r] = ml::EvalThreshold(op, acc, t);
+    }
+    return out;
+  }
+  std::vector<double> z(n);
+  if (entry.ends_with_sigmoid) {
+    const GraphNode& sig =
+        entry.graph.nodes()[static_cast<size_t>(entry.graph.output_id())];
+    auto logits = runtime.RunToNode(raw, sig.inputs[0]);
+    EXPECT_TRUE(logits.ok());
+    for (size_t r = 0; r < n; ++r) z[r] = logits->at(r, 0);
+  } else {
+    auto scores = runtime.RunToScores(raw);
+    EXPECT_TRUE(scores.ok());
+    z = *scores;
+  }
+  for (size_t r = 0; r < n; ++r) out[r] = ml::EvalThreshold(op, z[r], t);
+  return out;
+}
+
+flock::ModelEntry EntryForGraph(ModelGraph graph) {
+  flock::ModelEntry entry;
+  entry.name = "hand";
+  entry.graph = std::move(graph);
+  flock::ModelRegistry::AnalyzeEntry(&entry);
+  return entry;
+}
+
+flock::ModelEntry EntryForPipeline(const Pipeline& pipeline) {
+  auto graph = pipeline.Compile();
+  EXPECT_TRUE(graph.ok());
+  flock::ModelEntry entry = EntryForGraph(std::move(graph).value());
+  entry.pipeline = pipeline;
+  return entry;
+}
+
+const ml::ThresholdOp kOps[] = {ml::ThresholdOp::kGt, ml::ThresholdOp::kGe,
+                                ml::ThresholdOp::kLt, ml::ThresholdOp::kLe};
+
+/// Checks flock::ScoreThresholdBatch (which routes through the entry's
+/// kernel) against ReferenceVerdicts for every op and threshold.
+void ExpectVerdictsMatchReference(const flock::ModelEntry& entry,
+                                  const Matrix& raw,
+                                  const std::vector<double>& thresholds) {
+  ASSERT_NE(entry.kernel, nullptr);
+  ASSERT_TRUE(entry.kernel->ok()) << entry.kernel->status().ToString();
+  for (double t : thresholds) {
+    for (ml::ThresholdOp op : kOps) {
+      auto verdicts = flock::ScoreThresholdBatch(entry, raw, t, op);
+      ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+      std::vector<bool> expected = ReferenceVerdicts(entry, raw, t, op);
+      ASSERT_EQ(verdicts->size(), raw.rows());
+      for (size_t r = 0; r < raw.rows(); ++r) {
+        ASSERT_EQ((*verdicts)[r], expected[r])
+            << "rows " << raw.rows() << " threshold " << t << " op "
+            << static_cast<int>(op) << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(DenseKernelThresholdTest, VerdictsMatchReferenceAcrossModelZoo) {
+  // GBDT (boosted + sigmoid: early exit on logit), forest (averaged: full
+  // score), linear (regression: full score) and logistic (sigmoid fold
+  // without trees); block-edge row counts; 10% NaNs.
+  const std::vector<double> thresholds = {0.0, 1e-3, 0.5, 0.8, 0.999, 1.0};
+  uint64_t seed = 503;
+  for (const char* kind : kZoo) {
+    SCOPED_TRACE(kind);
+    flock::ModelEntry entry = EntryForPipeline(MakeZooPipeline(kind, seed));
+    for (size_t rows : {size_t{1}, size_t{255}, size_t{256}, size_t{257},
+                        size_t{1000}}) {
+      Matrix raw = RandomRaw(rows, 4, 3, seed + rows, /*nan_fraction=*/0.1);
+      ExpectVerdictsMatchReference(entry, raw, thresholds);
+    }
+    seed += 11;
+  }
+}
+
+/// A tree whose leaves sit at every depth 1..depth: a spine of internal
+/// nodes, each with one leaf child (on the right for a left spine) and
+/// the spine continuing on the other side; the last spine node has two
+/// leaves. Features cycle over `features`, thresholds over {-1,...,1}.
+ml::Tree SpineTree(size_t depth, size_t features, bool left_spine,
+                   double value_scale) {
+  ml::Tree tree;
+  static const double kThresholds[] = {-1.0, -0.5, 0.0, 0.5, 1.0};
+  for (size_t d = 0; d < depth; ++d) {
+    const int32_t self = static_cast<int32_t>(tree.nodes.size());
+    ml::TreeNode inner;
+    inner.feature = static_cast<int32_t>(d % features);
+    inner.threshold = kThresholds[(d * 3 + (left_spine ? 0 : 1)) % 5];
+    tree.nodes.push_back(inner);
+    ml::TreeNode leaf;
+    leaf.value = value_scale * (static_cast<double>(d) + 0.25);
+    const int32_t leaf_id = self + 1;
+    const int32_t next = self + 2;
+    tree.nodes.push_back(leaf);
+    tree.nodes[static_cast<size_t>(self)].left = left_spine ? next : leaf_id;
+    tree.nodes[static_cast<size_t>(self)].right = left_spine ? leaf_id : next;
+  }
+  ml::TreeNode last;
+  last.value = -value_scale * static_cast<double>(depth);
+  tree.nodes.push_back(last);
+  return tree;
+}
+
+/// input(3) -> TreeEnsemble(trees, boosted) -> Sigmoid.
+ModelGraph HandForest(std::vector<ml::Tree> trees) {
+  ModelGraph graph;
+  int input = graph.SetInput(3);
+  GraphNode forest;
+  forest.op = OpType::kTreeEnsemble;
+  forest.inputs = {input};
+  forest.trees = std::move(trees);
+  forest.tree_base = 0.125;
+  int id = graph.AddNode(forest);
+  GraphNode sigmoid;
+  sigmoid.op = OpType::kSigmoid;
+  sigmoid.inputs = {id};
+  graph.SetOutput(graph.AddNode(sigmoid));
+  EXPECT_TRUE(graph.Finalize().ok());
+  return graph;
+}
+
+/// Inputs drawn from the trees' own thresholds (ties go right) plus NaN.
+Matrix TieHeavyRaw(size_t rows, uint64_t seed) {
+  static const double kValues[] = {-1.0, -0.75, -0.5, 0.0, 0.25,
+                                   0.5,  1.0,   1.5,  std::nan("")};
+  Random rng(seed);
+  Matrix raw(rows, 3);
+  for (double& v : raw.data()) v = kValues[rng.Uniform(9)];
+  return raw;
+}
+
+/// Kernel scores vs GraphRuntime (bitwise), ScoreRow vs ScoreBatch, and
+/// threshold verdicts vs the reference loop.
+void ExpectHandForestAgrees(const ModelGraph& graph) {
+  flock::ModelEntry entry = EntryForGraph(graph);
+  ASSERT_TRUE(entry.kernel->ok()) << entry.kernel->status().ToString();
+  Matrix raw = TieHeavyRaw(1000, 71);
+  GraphRuntime runtime(&graph);
+  auto graph_scores = runtime.RunToScores(raw);
+  ASSERT_TRUE(graph_scores.ok());
+  DenseKernelScratch scratch;
+  std::vector<double> kernel_scores;
+  ASSERT_TRUE(entry.kernel->ScoreBatch(raw, &scratch, &kernel_scores).ok());
+  DenseKernelScratch row_scratch;
+  for (size_t r = 0; r < raw.rows(); ++r) {
+    EXPECT_PRED2(BitEq, kernel_scores[r], (*graph_scores)[r]) << "row " << r;
+    EXPECT_PRED2(BitEq, kernel_scores[r],
+                 entry.kernel->ScoreRow(raw.row(r), &row_scratch))
+        << "row " << r;
+  }
+  ExpectVerdictsMatchReference(entry, raw, {0.2, 0.5, 0.6, 0.9});
+}
+
+TEST(DenseKernelThresholdTest, RaggedTreesPadIntoPerfectLayout) {
+  // Leaves at depths 1..6 on both sides, a lone-leaf tree (depth 0) and
+  // a shallow spine: the ensemble's D is 6 and every shallower leaf is
+  // padded across its perfect subtree.
+  ml::Tree lone;
+  lone.nodes.resize(1);
+  lone.nodes[0].value = 0.375;
+  ModelGraph graph = HandForest({SpineTree(6, 3, true, 0.5),
+                                 SpineTree(6, 3, false, -0.3), lone,
+                                 SpineTree(3, 3, true, 0.8)});
+  DenseKernel kernel(graph);
+  ASSERT_TRUE(kernel.ok());
+  EXPECT_EQ(kernel.tree_depth(), 6u);
+  ExpectHandForestAgrees(graph);
+}
+
+TEST(DenseKernelThresholdTest, DeeperThanLayoutCapFallsBackToTreePredict) {
+  const size_t deep = DenseKernel::kMaxPerfectDepth + 2;
+  ModelGraph graph = HandForest({SpineTree(deep, 3, true, 0.2),
+                                 SpineTree(4, 3, false, 0.6),
+                                 SpineTree(deep, 3, false, -0.1)});
+  DenseKernel kernel(graph);
+  ASSERT_TRUE(kernel.ok());
+  EXPECT_GT(kernel.tree_depth(), DenseKernel::kMaxPerfectDepth);
+  ExpectHandForestAgrees(graph);
+}
+
+TEST(DenseKernelThresholdTest, KillMidThresholdBatchReturnsCancelled) {
+  // Enough rows that the batch outlasts the kill by far; the per-block
+  // poll must notice it and abandon the rest.
+  flock::ModelEntry entry = EntryForPipeline(MakeZooPipeline("gbdt", 601));
+  Matrix raw = RandomRaw(256 * 1024, 4, 3, 607);
+  CancelToken token = CancelToken::Cancellable();
+  std::atomic<bool> started{false};
+  Status result;
+  std::thread worker([&] {
+    CancelScope scope(token);
+    DenseKernelScratch scratch;
+    std::vector<bool> verdicts;
+    started.store(true, std::memory_order_release);
+    result = entry.kernel->ThresholdBatch(raw, 0.0, ml::ThresholdOp::kGt,
+                                          /*before_sigmoid=*/true, &scratch,
+                                          &verdicts);
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  token.Cancel();
+  worker.join();
+  EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
+  EXPECT_NE(result.message().find("dense_kernel.block"), std::string::npos)
+      << result.message();
 }
 
 // ---------------------------------------------------------------------------
