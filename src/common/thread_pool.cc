@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace flock {
 
@@ -61,16 +62,32 @@ void ThreadPool::WaitIdle() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  size_t num_chunks = std::min(n, workers_.size());
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t begin = c * chunk;
-    size_t end = std::min(n, begin + chunk);
-    Submit([begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
+  // This call's own completion latch: the caller waits for its runners
+  // only, never for unrelated tasks sharing the pool. It lives on the
+  // caller's stack; each runner touches it last under `mu`, which the
+  // caller must take before it can return.
+  struct Latch {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t running = 0;
+  } latch;
+  const size_t runners = std::min(n, workers_.size());
+  latch.running = runners;
+  for (size_t r = 0; r < runners; ++r) {
+    Submit([&latch, n, &fn] {
+      // Indices are handed out one at a time, so a runner that draws
+      // cheap indices simply takes more of them.
+      for (size_t i = latch.next.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = latch.next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+      std::lock_guard<std::mutex> lock(latch.mu);
+      if (--latch.running == 0) latch.cv.notify_all();
     });
   }
-  WaitIdle();
+  std::unique_lock<std::mutex> lock(latch.mu);
+  latch.cv.wait(lock, [&latch] { return latch.running == 0; });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -47,8 +47,11 @@ class ThreadPool {
   /// Tasks enqueued but not yet picked up by a worker.
   size_t queue_depth() const;
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
-  /// Work is divided into contiguous chunks, one per worker.
+  /// Runs `fn(i)` exactly once for every i in [0, n) across the pool and
+  /// waits for those calls only (other callers' tasks on the same pool do
+  /// not delay the return). Indices are handed out dynamically from a
+  /// shared cursor, so uneven per-index cost balances across workers.
+  /// Must not be called from one of this pool's own workers.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

@@ -24,7 +24,7 @@ void DeployTransaction::StageDrop(std::string name) {
 
 Status DeployTransaction::Commit() {
   if (engine_mu_ != nullptr) {
-    std::unique_lock<std::shared_mutex> lock(*engine_mu_);
+    std::unique_lock<RwMutex> lock(*engine_mu_);
     return CommitLocked();
   }
   return CommitLocked();

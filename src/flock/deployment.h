@@ -2,10 +2,10 @@
 #define FLOCK_FLOCK_DEPLOYMENT_H_
 
 #include <functional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "common/rw_mutex.h"
 #include "common/status.h"
 #include "flock/model_registry.h"
 
@@ -40,7 +40,7 @@ class DeployTransaction {
   /// which erases their derived specializations, so cached plans must be
   /// invalidated on this path too.
   explicit DeployTransaction(
-      ModelRegistry* registry, std::shared_mutex* engine_mu = nullptr,
+      ModelRegistry* registry, RwMutex* engine_mu = nullptr,
       std::function<void(const std::vector<CommittedDeployOp>&)> on_commit =
           {},
       std::function<void()> on_rollback = {})
@@ -79,7 +79,7 @@ class DeployTransaction {
   Status CommitLocked();
 
   ModelRegistry* registry_;
-  std::shared_mutex* engine_mu_ = nullptr;
+  RwMutex* engine_mu_ = nullptr;
   std::function<void(const std::vector<CommittedDeployOp>&)> on_commit_;
   std::function<void()> on_rollback_;
   std::vector<Operation> operations_;

@@ -84,7 +84,7 @@ FlockEngine::FlockEngine(FlockEngineOptions options)
 
 Status FlockEngine::Open(const std::string& data_dir,
                          FlockDurabilityConfig config) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (replica_) {
     return Status::InvalidArgument(
         "engine is a replica; use PromoteToPrimary to make it durable");
@@ -93,7 +93,7 @@ Status FlockEngine::Open(const std::string& data_dir,
 }
 
 Status FlockEngine::OpenAsReplica(FlockDurabilityConfig config) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (durability_ != nullptr) {
     return Status::InvalidArgument("engine is already durable against " +
                                    durability_->directory());
@@ -116,7 +116,7 @@ wal::WalReplayTarget FlockEngine::ReplicaTarget() const {
 
 Status FlockEngine::InstallReplicaSnapshot(
     const wal::SnapshotData& snapshot) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (!replica_) {
     return Status::InvalidArgument("engine is not a replica");
   }
@@ -139,7 +139,7 @@ Status FlockEngine::InstallReplicaSnapshot(
 }
 
 Status FlockEngine::ApplyReplicated(const wal::WalRecord& record) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (!replica_) {
     return Status::InvalidArgument("engine is not a replica");
   }
@@ -163,7 +163,7 @@ Status FlockEngine::ApplyReplicated(const wal::WalRecord& record) {
 Status FlockEngine::PromoteToPrimary(const std::string& data_dir,
                                      FlockDurabilityConfig config,
                                      uint64_t initial_epoch) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (!replica_) {
     return Status::InvalidArgument("engine is not a replica");
   }
@@ -284,7 +284,7 @@ Status FlockEngine::OpenLocked(const std::string& data_dir,
 }
 
 Status FlockEngine::Checkpoint() {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   if (durability_ == nullptr) {
     return Status::InvalidArgument(
         "engine has no data directory (call Open first)");
@@ -323,10 +323,10 @@ StatusOr<sql::QueryResult> FlockEngine::Execute(
         "replica is read-only; send writes and DDL to the primary");
   }
   if (RequiresExclusive(sql)) {
-    std::unique_lock<std::shared_mutex> lock(engine_mu_);
+    std::unique_lock<RwMutex> lock(engine_mu_);
     return GuardDurable(ExecuteLocked(sql, exec_opts));
   }
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
+  std::shared_lock<RwMutex> lock(engine_mu_);
   return sql_engine_.Execute(sql, exec_opts);
 }
 
@@ -347,7 +347,7 @@ StatusOr<sql::QueryResult> FlockEngine::ExecuteAs(
   }
   // The scoring context is shared by every execution, so swapping the
   // principal demands exclusivity even for reads.
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   std::string saved = context_->principal;
   context_->principal = principal;
   auto result = ExecuteLocked(sql, exec_opts);
@@ -366,7 +366,7 @@ StatusOr<sql::QueryResult> FlockEngine::ExecuteLocked(
 }
 
 Status FlockEngine::RefreshCatalogTables() {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   return RefreshCatalogTablesLocked();
 }
 
@@ -446,7 +446,7 @@ StatusOr<sql::QueryResult> FlockEngine::ExecuteScript(
     return Status::Redirect(
         "replica is read-only; send scripts to the primary");
   }
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   return GuardDurable(sql_engine_.ExecuteScript(sql));
 }
 
@@ -458,7 +458,7 @@ Status FlockEngine::DeployModel(const std::string& name,
     return Status::Redirect(
         "replica is read-only; deploy models on the primary");
   }
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   // Redeploys supersede cross-optimizer specializations referenced by
   // cached plans; drop them all.
   sql_engine_.plan_cache()->Clear();
@@ -492,12 +492,12 @@ DeployTransaction FlockEngine::BeginDeployment() {
 }
 
 void FlockEngine::SetPrincipal(const std::string& principal) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   context_->principal = principal;
 }
 
 void FlockEngine::set_enable_cross_optimizer(bool on) {
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   enable_cross_optimizer_.store(on, std::memory_order_release);
   sql_engine_.plan_cache()->Clear();
 }
@@ -545,7 +545,7 @@ Status FlockEngine::UpdateRolloutState(const wal::RolloutSnapshot& rollout) {
     return Status::Redirect(
         "replica is read-only; manage rollouts on the primary");
   }
-  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  std::unique_lock<RwMutex> lock(engine_mu_);
   FLOCK_RETURN_NOT_OK(ApplyRolloutLocked(rollout));
   if (durability_ != nullptr) {
     return durability_->LogRolloutState(rollout);
@@ -554,7 +554,7 @@ Status FlockEngine::UpdateRolloutState(const wal::RolloutSnapshot& rollout) {
 }
 
 std::vector<wal::RolloutSnapshot> FlockEngine::RolloutStates() const {
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
+  std::shared_lock<RwMutex> lock(engine_mu_);
   std::vector<wal::RolloutSnapshot> out;
   out.reserve(rollouts_.size());
   for (const auto& [key, rollout] : rollouts_) out.push_back(rollout);

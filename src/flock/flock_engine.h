@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rw_mutex.h"
 #include "flock/cross_optimizer.h"
 #include "flock/deployment.h"
 #include "flock/model_registry.h"
@@ -62,7 +63,9 @@ struct FlockEngineOptions {
 /// ## Locking contract (concurrent Execute)
 ///
 /// Execute is safe to call from any number of threads. A single
-/// reader/writer lock (`engine_mu_`) arbitrates:
+/// reader/writer lock (`engine_mu_`, a writer-priority `RwMutex`: once a
+/// writer waits, new readers queue behind it, so sustained query load
+/// cannot starve DDL, DML or deploys) arbitrates:
 ///
 ///  * **Shared (many concurrent holders):** SELECT / EXPLAIN statements
 ///    that do not touch the catalog views. Scoring, plan-cache lookups,
@@ -278,7 +281,7 @@ class FlockEngine {
   wal::EngineStateAdapter replica_adapter_;
   /// Shared: concurrent queries. Exclusive: DDL/DML/catalog refresh/
   /// principal changes. See the class-level locking contract.
-  mutable std::shared_mutex engine_mu_;
+  mutable RwMutex engine_mu_;
 };
 
 }  // namespace flock::flock

@@ -164,6 +164,16 @@ StatusOr<const ModelEntry*> ModelRegistry::GetForScoring(
     return Status::PermissionDenied("principal '" + principal +
                                     "' may not score model " + name);
   }
+  // Scoring is checked once per morsel, so consecutive grants of the same
+  // model version to the same principal fold into one event.
+  if (!audit_log_.empty()) {
+    AuditEvent& last = audit_log_.back();
+    if (last.kind == AuditEvent::Kind::kScore && last.model == name &&
+        last.principal == principal && last.version == entry->version) {
+      last.rows += rows;
+      return entry.get();
+    }
+  }
   audit_log_.push_back(AuditEvent{AuditEvent::Kind::kScore, name,
                                   principal, entry->version, rows});
   return entry.get();
@@ -172,22 +182,12 @@ StatusOr<const ModelEntry*> ModelRegistry::GetForScoring(
 Status ModelRegistry::CheckAccess(const std::string& name,
                                   const std::string& principal,
                                   size_t rows) const {
+  return GetForScoring(name, principal, rows).status();
+}
+
+std::vector<AuditEvent> ModelRegistry::audit_log() const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = models_.find(Key(name));
-  if (it == models_.end() || it->second.empty()) {
-    return Status::NotFound("model not found: " + name);
-  }
-  const auto& entry = it->second.back();
-  if (!entry->allowed_principals.empty() &&
-      entry->allowed_principals.count(principal) == 0) {
-    audit_log_.push_back(AuditEvent{AuditEvent::Kind::kDenied, name,
-                                    principal, entry->version, rows});
-    return Status::PermissionDenied("principal '" + principal +
-                                    "' may not score model " + name);
-  }
-  audit_log_.push_back(AuditEvent{AuditEvent::Kind::kScore, name,
-                                  principal, entry->version, rows});
-  return Status::OK();
+  return audit_log_;
 }
 
 Status ModelRegistry::SetAccessControl(const std::string& name,

@@ -124,7 +124,9 @@ class ModelRegistry {
                                          uint64_t version) const;
 
   /// Get + ACL check + audit. PermissionDenied when `principal` lacks
-  /// access.
+  /// access. A grant extends the previous event when that one is a grant
+  /// of the same model version to the same principal (its `rows` sum), so
+  /// a many-morsel scan leaves one event; denials are always appended.
   StatusOr<const ModelEntry*> GetForScoring(const std::string& name,
                                             const std::string& principal,
                                             size_t rows) const;
@@ -153,7 +155,8 @@ class ModelRegistry {
   void ClearSpecializations();
   size_t num_specializations() const;
 
-  const std::vector<AuditEvent>& audit_log() const { return audit_log_; }
+  /// A copy of the audit trail, taken under the registry lock.
+  std::vector<AuditEvent> audit_log() const;
 
   /// Fills `entry`'s precomputed scoring metadata (sigmoid detection, tree
   /// node index, compiled kernel, training profile). Exposed for the

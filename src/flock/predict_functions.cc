@@ -1,7 +1,8 @@
 #include "flock/predict_functions.h"
 
+#include <span>
+
 #include "flock/scoring.h"
-#include "ml/matrix.h"
 
 namespace flock::flock {
 
@@ -11,18 +12,24 @@ using storage::DataType;
 
 namespace {
 
-/// Resolves the model-name argument (a constant string column).
-StatusOr<const ModelEntry*> ResolveModel(
-    const ModelRegistry* models, const ScoringContext& context,
-    const ColumnVectorPtr& name_col, size_t num_rows) {
-  if (name_col->size() == 0) {
-    return Status::InvalidArgument("PREDICT: empty model name column");
-  }
-  if (name_col->type() != DataType::kString || name_col->IsNull(0)) {
+/// The argument's value on the call's first row (model names and
+/// thresholds are constants; a column argument is read at its first row).
+storage::Value FirstValue(const sql::ScoringArg& arg) {
+  if (arg.constant != nullptr) return *arg.constant;
+  return arg.column->GetValue(arg.rows != nullptr ? arg.rows[0] : 0);
+}
+
+/// Resolves the model-name argument, once per call.
+StatusOr<const ModelEntry*> ResolveModel(const ModelRegistry* models,
+                                         const ScoringContext& context,
+                                         const sql::ScoringArg& name_arg,
+                                         size_t num_rows) {
+  const storage::Value name_value = FirstValue(name_arg);
+  if (name_value.is_null() || name_value.type() != DataType::kString) {
     return Status::InvalidArgument(
         "PREDICT: first argument must be a model name");
   }
-  const std::string& name = name_col->string_at(0);
+  const std::string& name = name_value.string_value();
   if (name.find('#') != std::string::npos) {
     FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry,
                            models->GetSpecialization(name));
@@ -37,6 +44,20 @@ StatusOr<const ModelEntry*> ResolveModel(
   return models->GetForScoring(name, context.principal, num_rows);
 }
 
+/// Binds the feature arguments and, when a feature observer is installed,
+/// hands it the assembled matrix (assembled only in that case).
+StatusOr<ml::FeatureSource> BindAndObserve(
+    const ModelEntry& entry, const ScoringContext& context,
+    std::span<const sql::ScoringArg> features, size_t num_rows) {
+  FLOCK_ASSIGN_OR_RETURN(ml::FeatureSource src,
+                         BindFeatures(entry, features, num_rows));
+  if (FeatureObserver* obs =
+          context.observer.load(std::memory_order_acquire)) {
+    obs->ObserveFeatures(entry, src.ToMatrix(), num_rows);
+  }
+  return src;
+}
+
 }  // namespace
 
 void RegisterPredictFunctions(sql::FunctionRegistry* functions,
@@ -47,39 +68,36 @@ void RegisterPredictFunctions(sql::FunctionRegistry* functions,
     sql::ScalarFunction fn;
     fn.return_type = DataType::kDouble;
     fn.min_args = 1;
-    fn.scoring = true;  // lowered to a PredictScore physical operator
-    fn.kernel = [models, context](
-                    const std::vector<ColumnVectorPtr>& args,
-                    size_t num_rows) -> StatusOr<ColumnVectorPtr> {
+    // Lowered to a PredictScore physical operator.
+    fn.scoring_kernel = [models, context](
+                            const std::vector<sql::ScoringArg>& args,
+                            size_t num_rows) -> StatusOr<ColumnVectorPtr> {
       auto out = std::make_shared<ColumnVector>(DataType::kDouble);
       if (num_rows == 0) return out;
       FLOCK_ASSIGN_OR_RETURN(
           const ModelEntry* entry,
           ResolveModel(models, *context, args[0], num_rows));
-      std::vector<ColumnVectorPtr> features(args.begin() + 1, args.end());
       FLOCK_ASSIGN_OR_RETURN(
-          ml::Matrix raw, AssembleFeatures(*entry, features, num_rows));
-      if (FeatureObserver* obs =
-              context->observer.load(std::memory_order_acquire)) {
-        obs->ObserveFeatures(*entry, raw, num_rows);
-      }
-      out->Reserve(num_rows);
+          ml::FeatureSource features,
+          BindAndObserve(*entry, *context,
+                         std::span(args).subspan(1), num_rows));
       if (num_rows == 1) {
         // Serving-layer micro-batching: a single-row PREDICT (point
         // lookup) offers itself to the coalescer, which merges
         // concurrent requests into one shared kernel invocation.
         if (ScoreCoalescer* coalescer =
                 context->coalescer.load(std::memory_order_acquire)) {
+          std::vector<double> row(features.width());
+          features.Gather(0, 1, row.data());
           FLOCK_ASSIGN_OR_RETURN(
               double score,
-              coalescer->ScoreOne(*entry, raw.row(0), raw.cols()));
+              coalescer->ScoreOne(*entry, row.data(), row.size()));
           out->AppendDouble(score);
           return out;
         }
       }
-      FLOCK_ASSIGN_OR_RETURN(std::vector<double> scores,
-                             ScoreBatch(*entry, raw));
-      for (double s : scores) out->AppendDouble(s);
+      FLOCK_RETURN_NOT_OK(
+          ScoreFeatures(*entry, features, out->ExtendDoubles(num_rows)));
       return out;
     };
     functions->Register("PREDICT", fn);
@@ -90,32 +108,27 @@ void RegisterPredictFunctions(sql::FunctionRegistry* functions,
     sql::ScalarFunction fn;
     fn.return_type = DataType::kBool;
     fn.min_args = 2;
-    fn.scoring = true;  // threshold push-up target, also a PredictScore op
-    fn.kernel = [models, context, op](
-                    const std::vector<ColumnVectorPtr>& args,
-                    size_t num_rows) -> StatusOr<ColumnVectorPtr> {
+    // Threshold push-up target, also a PredictScore operator.
+    fn.scoring_kernel = [models, context, op](
+                            const std::vector<sql::ScoringArg>& args,
+                            size_t num_rows) -> StatusOr<ColumnVectorPtr> {
       auto out = std::make_shared<ColumnVector>(DataType::kBool);
       if (num_rows == 0) return out;
       FLOCK_ASSIGN_OR_RETURN(
           const ModelEntry* entry,
           ResolveModel(models, *context, args[0], num_rows));
-      if (args[1]->size() == 0 || args[1]->IsNull(0)) {
+      const storage::Value threshold = FirstValue(args[1]);
+      if (threshold.is_null()) {
         return Status::InvalidArgument(
             "PREDICT threshold must be a non-null constant");
       }
-      double threshold = args[1]->AsDouble(0);
-      std::vector<ColumnVectorPtr> features(args.begin() + 2, args.end());
       FLOCK_ASSIGN_OR_RETURN(
-          ml::Matrix raw, AssembleFeatures(*entry, features, num_rows));
-      if (FeatureObserver* obs =
-              context->observer.load(std::memory_order_acquire)) {
-        obs->ObserveFeatures(*entry, raw, num_rows);
-      }
-      FLOCK_ASSIGN_OR_RETURN(
-          std::vector<bool> verdicts,
-          ScoreThresholdBatch(*entry, raw, threshold, op));
-      out->Reserve(num_rows);
-      for (bool v : verdicts) out->AppendBool(v);
+          ml::FeatureSource features,
+          BindAndObserve(*entry, *context,
+                         std::span(args).subspan(2), num_rows));
+      FLOCK_RETURN_NOT_OK(ScoreThresholdFeatures(
+          *entry, features, threshold.AsDouble(), op,
+          out->ExtendBools(num_rows)));
       return out;
     };
     functions->Register(name, fn);

@@ -38,7 +38,7 @@ class ScoreCoalescer {
   virtual ~ScoreCoalescer() = default;
   /// Scores one row laid out as the entry's raw input columns
   /// (categoricals index-encoded, NULLs as NaN). `width` always equals
-  /// entry.graph.input_cols() — AssembleFeatures enforced arity upstream.
+  /// entry.graph.input_cols() — BindFeatures enforced arity upstream.
   virtual StatusOr<double> ScoreOne(const ModelEntry& entry,
                                     const double* row, size_t width) = 0;
 };

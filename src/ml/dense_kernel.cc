@@ -60,7 +60,93 @@ void PlaceNode(const Tree& tree, int32_t node, size_t q, size_t inner,
   std::fill_n(leaf + (first - inner), span, n.value);
 }
 
+/// Writes rows [begin, begin + count) of `col` into every `width`-th slot
+/// of `dst`; `decode(e)` reads valid element e. NULL -> NaN.
+template <typename Decode>
+void GatherColumn(const FeatureColumn& col, size_t begin, size_t count,
+                  size_t width, double* dst, Decode decode) {
+  const double nan = std::nan("");
+  const uint32_t* rows = col.rows;
+  const uint8_t* valid = col.validity;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t e = rows != nullptr ? rows[begin + i] : begin + i;
+    dst[i * width] = valid != nullptr && valid[e] == 0 ? nan : decode(e);
+  }
+}
+
 }  // namespace
+
+FeatureSource FeatureSource::FromMatrix(const Matrix& raw) {
+  FeatureSource src;
+  src.num_rows = raw.rows();
+  src.row_major = raw.data().data();
+  src.columns.resize(raw.cols());
+  for (size_t c = 0; c < raw.cols(); ++c) {
+    src.columns[c].values = src.row_major + c;
+    src.columns[c].stride = raw.cols();
+  }
+  return src;
+}
+
+void FeatureSource::Gather(size_t begin, size_t count, double* dst) const {
+  const size_t width = columns.size();
+  if (row_major != nullptr) {
+    std::copy(row_major + begin * width, row_major + (begin + count) * width,
+              dst);
+    return;
+  }
+  for (size_t c = 0; c < width; ++c) {
+    const FeatureColumn& col = columns[c];
+    const size_t stride = col.stride;
+    double* out = dst + c;
+    switch (col.type) {
+      case FeatureColumn::Type::kDouble: {
+        const auto* v = static_cast<const double*>(col.values);
+        GatherColumn(col, begin, count, width, out,
+                     [v, stride](size_t e) { return v[e * stride]; });
+        break;
+      }
+      case FeatureColumn::Type::kInt64: {
+        const auto* v = static_cast<const int64_t*>(col.values);
+        GatherColumn(col, begin, count, width, out, [v, stride](size_t e) {
+          return static_cast<double>(v[e * stride]);
+        });
+        break;
+      }
+      case FeatureColumn::Type::kBool: {
+        const auto* v = static_cast<const uint8_t*>(col.values);
+        GatherColumn(col, begin, count, width, out, [v, stride](size_t e) {
+          return v[e * stride] != 0 ? 1.0 : 0.0;
+        });
+        break;
+      }
+      case FeatureColumn::Type::kString: {
+        const auto* v = static_cast<const std::string*>(col.values);
+        const std::string* vocab =
+            col.vocab != nullptr ? col.vocab->data() : nullptr;
+        const size_t vocab_size = col.vocab != nullptr ? col.vocab->size() : 0;
+        GatherColumn(col, begin, count, width, out,
+                     [v, stride, vocab, vocab_size](size_t e) {
+                       const std::string& value = v[e * stride];
+                       for (size_t k = 0; k < vocab_size; ++k) {
+                         if (vocab[k] == value) return static_cast<double>(k);
+                       }
+                       return std::nan("");
+                     });
+        break;
+      }
+      case FeatureColumn::Type::kConstant:
+        for (size_t i = 0; i < count; ++i) out[i * width] = col.constant;
+        break;
+    }
+  }
+}
+
+Matrix FeatureSource::ToMatrix() const {
+  Matrix raw(num_rows, width());
+  if (num_rows > 0) Gather(0, num_rows, raw.data().data());
+  return raw;
+}
 
 DenseKernel::DenseKernel(const ModelGraph& graph) {
   input_cols_ = graph.input_cols();
@@ -344,13 +430,13 @@ double DenseKernel::ScoreRow(const double* row,
   return Execute(1, steps_.size(), scratch)[0];
 }
 
-Status DenseKernel::PrepareBatch(const Matrix& raw,
+Status DenseKernel::PrepareBatch(const FeatureSource& src,
                                  DenseKernelScratch* scratch) const {
   FLOCK_RETURN_NOT_OK(status_);
-  if (raw.cols() != input_cols_) {
+  if (src.width() != input_cols_) {
     return Status::InvalidArgument(
         "dense kernel expects " + std::to_string(input_cols_) +
-        " input columns, got " + std::to_string(raw.cols()));
+        " input columns, got " + std::to_string(src.width()));
   }
   const size_t need = kBlockRows * max_cols_;
   if (scratch->a_.size() < need) scratch->a_.resize(need);
@@ -362,18 +448,11 @@ Status DenseKernel::PrepareBatch(const Matrix& raw,
   return Status::OK();
 }
 
-void DenseKernel::LoadBlock(const Matrix& raw, size_t begin, size_t rows,
-                            DenseKernelScratch* scratch) const {
-  const double* src = raw.row(begin);
-  std::copy(src, src + rows * input_cols_, scratch->a_.data());
-}
-
-Status DenseKernel::ScoreBatch(const Matrix& raw,
+Status DenseKernel::ScoreBatch(const FeatureSource& src,
                                DenseKernelScratch* scratch,
-                               std::vector<double>* out) const {
-  FLOCK_RETURN_NOT_OK(PrepareBatch(raw, scratch));
-  const size_t n = raw.rows();
-  out->resize(n);
+                               double* out) const {
+  FLOCK_RETURN_NOT_OK(PrepareBatch(src, scratch));
+  const size_t n = src.num_rows;
   // The per-block cancellation poll: with deep ensembles a single batch
   // can take tens of milliseconds, so the executor's morsel-boundary
   // check alone would not bound kill latency. The request token arrives
@@ -388,20 +467,38 @@ Status DenseKernel::ScoreBatch(const Matrix& raw,
   for (size_t begin = 0; begin < n; begin += kBlockRows) {
     FLOCK_RETURN_NOT_OK(cancel.Check("dense_kernel.block"));
     const size_t rows = std::min(kBlockRows, n - begin);
-    LoadBlock(raw, begin, rows, scratch);
+    src.Gather(begin, rows, scratch->a_.data());
     const double* scores = Execute(rows, steps_.size(), scratch);
-    for (size_t r = 0; r < rows; ++r) {
-      (*out)[begin + r] = scores[r * stride];
-    }
+    for (size_t r = 0; r < rows; ++r) out[begin + r] = scores[r * stride];
   }
   return Status::OK();
+}
+
+Status DenseKernel::ScoreBatch(const Matrix& raw,
+                               DenseKernelScratch* scratch,
+                               std::vector<double>* out) const {
+  out->resize(raw.rows());
+  return ScoreBatch(FeatureSource::FromMatrix(raw), scratch, out->data());
 }
 
 Status DenseKernel::ThresholdBatch(const Matrix& raw, double threshold,
                                    ThresholdOp op, bool before_sigmoid,
                                    DenseKernelScratch* scratch,
                                    std::vector<bool>* out) const {
-  FLOCK_RETURN_NOT_OK(PrepareBatch(raw, scratch));
+  std::vector<uint8_t> verdicts(raw.rows());
+  FLOCK_RETURN_NOT_OK(ThresholdBatch(FeatureSource::FromMatrix(raw),
+                                     threshold, op, before_sigmoid, scratch,
+                                     verdicts.data()));
+  out->assign(verdicts.begin(), verdicts.end());
+  return Status::OK();
+}
+
+Status DenseKernel::ThresholdBatch(const FeatureSource& src,
+                                   double threshold, ThresholdOp op,
+                                   bool before_sigmoid,
+                                   DenseKernelScratch* scratch,
+                                   uint8_t* out) const {
+  FLOCK_RETURN_NOT_OK(PrepareBatch(src, scratch));
   size_t end = steps_.size();
   if (before_sigmoid) {
     if (steps_.back().op != OpType::kSigmoid) {
@@ -418,17 +515,16 @@ Status DenseKernel::ThresholdBatch(const Matrix& raw, double threshold,
     forest = &steps_[end - 1];
   }
   const size_t stride = end == 0 ? input_cols_ : steps_[end - 1].out_cols;
-  const size_t n = raw.rows();
-  out->assign(n, false);
+  const size_t n = src.num_rows;
   const CancelToken& cancel = CancelToken::Current();
   for (size_t begin = 0; begin < n; begin += kBlockRows) {
     FLOCK_RETURN_NOT_OK(cancel.Check("dense_kernel.block"));
     const size_t rows = std::min(kBlockRows, n - begin);
-    LoadBlock(raw, begin, rows, scratch);
+    src.Gather(begin, rows, scratch->a_.data());
     if (forest == nullptr) {
       const double* z = Execute(rows, end, scratch);
       for (size_t r = 0; r < rows; ++r) {
-        (*out)[begin + r] = EvalThreshold(op, z[r * stride], threshold);
+        out[begin + r] = EvalThreshold(op, z[r * stride], threshold);
       }
       continue;
     }
@@ -454,7 +550,7 @@ Status DenseKernel::ThresholdBatch(const Matrix& raw, double threshold,
         const double hi = acc[r] + hi_rest;
         const bool verdict = EvalThreshold(op, lo, threshold);
         if (verdict == EvalThreshold(op, hi, threshold) && lo <= hi) {
-          (*out)[begin + r] = verdict;
+          out[begin + r] = verdict;
         } else {
           active[kept++] = r;
         }
@@ -464,7 +560,7 @@ Status DenseKernel::ThresholdBatch(const Matrix& raw, double threshold,
     // Rows never decided (a NaN sum or bound) compare their full score.
     for (size_t i = 0; i < live; ++i) {
       const uint32_t r = active[i];
-      (*out)[begin + r] = EvalThreshold(op, acc[r], threshold);
+      out[begin + r] = EvalThreshold(op, acc[r], threshold);
     }
   }
   return Status::OK();

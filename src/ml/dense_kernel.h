@@ -2,6 +2,7 @@
 #define FLOCK_ML_DENSE_KERNEL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/status_or.h"
@@ -27,6 +28,51 @@ inline bool EvalThreshold(ThresholdOp op, double score, double threshold) {
   }
   return false;
 }
+
+/// One kernel input column, read where it lies. Source row i is element
+/// `e = rows ? rows[i] : i`: the value `values[e * stride]` (typed by
+/// `type`), NULL when `validity` is set and `validity[e] == 0`. NULLs,
+/// and strings missing from `vocab`, read as NaN.
+struct FeatureColumn {
+  enum class Type : uint8_t {
+    kDouble,    // const double*
+    kInt64,     // const int64_t*
+    kBool,      // const uint8_t*, nonzero = true
+    kString,    // const std::string*, encoded through `vocab`
+    kConstant,  // `constant` on every row; values/rows unused
+  };
+  Type type = Type::kDouble;
+  const void* values = nullptr;
+  size_t stride = 1;
+  const uint8_t* validity = nullptr;  // null = every row valid
+  const uint32_t* rows = nullptr;     // null = identity
+  /// kString: a value's code is the index of its first match in `vocab`.
+  const std::vector<std::string>* vocab = nullptr;
+  double constant = 0.0;
+};
+
+/// The rows a kernel scores: `num_rows` rows of `columns.size()` inputs,
+/// each column read in place. A row-major Matrix is one more layout
+/// (`FromMatrix`), whose blocks load with a single contiguous copy.
+struct FeatureSource {
+  size_t num_rows = 0;
+  std::vector<FeatureColumn> columns;
+  /// Set for a row-major source: row r's inputs start at
+  /// `row_major + r * columns.size()`.
+  const double* row_major = nullptr;
+
+  size_t width() const { return columns.size(); }
+
+  /// Views `raw` (which must outlive the source) as a source.
+  static FeatureSource FromMatrix(const Matrix& raw);
+
+  /// Writes rows [begin, begin + count) into `dst`, row-major and
+  /// `width()` wide — the only copy between a column and the kernel.
+  void Gather(size_t begin, size_t count, double* dst) const;
+
+  /// Every row as a row-major matrix (for consumers that need one).
+  Matrix ToMatrix() const;
+};
 
 /// Reusable scratch buffers for DenseKernel execution. One per thread (or
 /// per call site); the kernel itself stays immutable and shareable. The
@@ -70,9 +116,10 @@ class DenseKernelScratch {
 /// Execution contracts:
 ///  * `ScoreRow` scores a single dense row with zero allocation (given a
 ///    warmed scratch).
-///  * `ScoreBatch` scores a whole matrix/morsel in blocks of `kBlockRows`
-///    rows. Summation order per row is unchanged, so results are bitwise
-///    identical to `ScoreRow` and to `GraphRuntime`.
+///  * `ScoreBatch` scores a whole source (a morsel's columns, or a
+///    matrix) in blocks of `kBlockRows` rows, gathering each block once
+///    into scratch. Summation order per row is unchanged, so results are
+///    bitwise identical to `ScoreRow` and to `GraphRuntime`.
 ///  * `ThresholdBatch` evaluates `score OP t` per row. For a boosted
 ///    ensemble ending the compared prefix, it walks the trees tree-major
 ///    over the block's undecided rows and, after every tree, decides the
@@ -107,16 +154,24 @@ class DenseKernel {
   /// index-encoded, NULLs as NaN — the AssembleFeatures layout).
   double ScoreRow(const double* row, DenseKernelScratch* scratch) const;
 
-  /// Scores every row of `raw` (`raw.cols()` must equal `input_cols()`),
-  /// appending into `out` (resized to raw.rows()). Reuses `scratch` across
-  /// blocks; no per-row allocation.
+  /// Scores every row of `src` (`src.width()` must equal `input_cols()`)
+  /// into `out[0, src.num_rows)`. Reuses `scratch` across blocks; no
+  /// per-row allocation.
+  Status ScoreBatch(const FeatureSource& src, DenseKernelScratch* scratch,
+                    double* out) const;
+  /// The same over a row-major matrix; `out` is resized to raw.rows().
   Status ScoreBatch(const Matrix& raw, DenseKernelScratch* scratch,
                     std::vector<double>* out) const;
 
-  /// Writes `z OP threshold` for every row of `raw` into `out` (resized
-  /// to raw.rows()). z is the final score, or — with `before_sigmoid`,
-  /// for a plan ending in Sigmoid — the Sigmoid's input, so the caller can
-  /// pass a logit threshold. A NaN z compares false under every op.
+  /// Writes `z OP threshold` (1 or 0) for every row of `src` into
+  /// `out[0, src.num_rows)`. z is the final score, or — with
+  /// `before_sigmoid`, for a plan ending in Sigmoid — the Sigmoid's input,
+  /// so the caller can pass a logit threshold. A NaN z compares false
+  /// under every op.
+  Status ThresholdBatch(const FeatureSource& src, double threshold,
+                        ThresholdOp op, bool before_sigmoid,
+                        DenseKernelScratch* scratch, uint8_t* out) const;
+  /// The same over a row-major matrix; `out` is resized to raw.rows().
   Status ThresholdBatch(const Matrix& raw, double threshold, ThresholdOp op,
                         bool before_sigmoid, DenseKernelScratch* scratch,
                         std::vector<bool>* out) const;
@@ -174,12 +229,9 @@ class DenseKernel {
   const double* Execute(size_t n, size_t end,
                         DenseKernelScratch* scratch) const;
 
-  /// Checks arity and sizes `scratch` for blocks of `raw`'s rows.
-  Status PrepareBatch(const Matrix& raw, DenseKernelScratch* scratch) const;
-
-  /// Copies rows [begin, begin+rows) of `raw` into scratch buffer `a_`.
-  void LoadBlock(const Matrix& raw, size_t begin, size_t rows,
-                 DenseKernelScratch* scratch) const;
+  /// Checks arity and sizes `scratch` for blocks of `src`'s rows.
+  Status PrepareBatch(const FeatureSource& src,
+                      DenseKernelScratch* scratch) const;
 
   Status status_;
   size_t input_cols_ = 0;

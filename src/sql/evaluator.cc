@@ -1,6 +1,7 @@
 #include "sql/evaluator.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -17,6 +18,12 @@ namespace {
 bool IsNumeric(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDouble ||
          t == DataType::kBool;
+}
+
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNotEq ||
+         op == BinaryOp::kLt || op == BinaryOp::kLtEq ||
+         op == BinaryOp::kGt || op == BinaryOp::kGtEq;
 }
 
 /// Output type of an arithmetic binary op.
@@ -168,6 +175,175 @@ StatusOr<ColumnVectorPtr> EvaluateComparison(BinaryOp op,
   return out;
 }
 
+/// `column OP b` over a numeric column read at `rows` (null = identity),
+/// under EvaluateComparison's three-way compare: `holds(a < b, a > b)`
+/// decides the op, so a NaN compares equal to everything. NULL rows stay
+/// NULL.
+template <typename T, typename Holds>
+ColumnVectorPtr CompareLoop(const T* values, const ColumnVector& col,
+                            const uint32_t* rows, size_t n, double b,
+                            Holds holds) {
+  auto out = std::make_shared<ColumnVector>(DataType::kBool);
+  uint8_t* verdict = out->ExtendBools(n);
+  const uint8_t* valid = col.validity().data();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t e = rows != nullptr ? rows[i] : i;
+    const double a = static_cast<double>(values[e]);
+    verdict[i] = holds(a < b, a > b) ? 1 : 0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (valid[rows != nullptr ? rows[i] : i] == 0) out->SetNull(i);
+  }
+  return out;
+}
+
+template <typename T>
+ColumnVectorPtr CompareToConstant(const T* values, const ColumnVector& col,
+                                  const uint32_t* rows, size_t n, BinaryOp op,
+                                  double b) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool lt, bool gt) { return !lt && !gt; });
+    case BinaryOp::kNotEq:
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool lt, bool gt) { return lt || gt; });
+    case BinaryOp::kLt:
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool lt, bool) { return lt; });
+    case BinaryOp::kLtEq:
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool, bool gt) { return !gt; });
+    case BinaryOp::kGt:
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool, bool gt) { return gt; });
+    default:  // kGtEq
+      return CompareLoop(values, col, rows, n, b,
+                         [](bool lt, bool) { return !lt; });
+  }
+}
+
+/// `lit OP col` is `col OP' lit` with the order flipped.
+BinaryOp FlipComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLtEq:
+      return BinaryOp::kGtEq;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGtEq:
+      return BinaryOp::kLtEq;
+    default:
+      return op;
+  }
+}
+
+bool IsBoundColumn(const Expr& e, const RecordBatch& input) {
+  return e.kind == ExprKind::kColumnRef && e.column_index >= 0 &&
+         static_cast<size_t>(e.column_index) < input.num_columns();
+}
+
+/// A comparison between a bound numeric column and a non-null numeric
+/// literal, evaluated in one typed loop over the column (read through the
+/// input's selection) with no broadcast of the literal. Null when the
+/// expression has another shape.
+ColumnVectorPtr TryCompareColumnToLiteral(const Expr& expr,
+                                          const RecordBatch& input) {
+  const Expr* col_expr = expr.children[0].get();
+  const Expr* lit_expr = expr.children[1].get();
+  BinaryOp op = expr.bin_op;
+  if (col_expr->kind == ExprKind::kLiteral) {
+    std::swap(col_expr, lit_expr);
+    op = FlipComparison(op);
+  }
+  if (lit_expr->kind != ExprKind::kLiteral || lit_expr->literal.is_null() ||
+      !IsNumeric(lit_expr->literal.type()) ||
+      !IsBoundColumn(*col_expr, input)) {
+    return nullptr;
+  }
+  const ColumnVector& col =
+      *input.column(static_cast<size_t>(col_expr->column_index));
+  const uint32_t* rows =
+      input.has_selection() ? input.selection().data() : nullptr;
+  const size_t n = input.num_rows();
+  const double b = lit_expr->literal.AsDouble();
+  switch (col.type()) {
+    case DataType::kDouble:
+      return CompareToConstant(col.doubles().data(), col, rows, n, op, b);
+    case DataType::kInt64:
+      return CompareToConstant(col.ints().data(), col, rows, n, op, b);
+    case DataType::kBool:
+      return CompareToConstant(col.bools().data(), col, rows, n, op, b);
+    case DataType::kString:
+      break;
+  }
+  return nullptr;
+}
+
+/// Calls a scoring kernel with its arguments as views: literals stay
+/// single Values and column references are read through the input's
+/// selection, so nothing is broadcast or gathered before the kernel.
+StatusOr<ColumnVectorPtr> EvaluateScoringCall(
+    const Expr& expr, const ScalarFunction& fn, const RecordBatch& input,
+    const FunctionRegistry* registry) {
+  const uint32_t* rows =
+      input.has_selection() ? input.selection().data() : nullptr;
+  std::vector<ScoringArg> args(expr.children.size());
+  std::vector<ColumnVectorPtr> evaluated;  // keeps computed arguments alive
+  for (size_t i = 0; i < expr.children.size(); ++i) {
+    const Expr& child = *expr.children[i];
+    if (child.kind == ExprKind::kLiteral) {
+      args[i].constant = &child.literal;
+    } else if (IsBoundColumn(child, input)) {
+      args[i].column =
+          input.column(static_cast<size_t>(child.column_index)).get();
+      args[i].rows = rows;
+    } else {
+      FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                             EvaluateExpr(child, input, registry));
+      args[i].column = col.get();
+      evaluated.push_back(std::move(col));
+    }
+  }
+  return fn.scoring_kernel(args, input.num_rows());
+}
+
+/// Logical rows [0, n) whose mask value (row `rows[i]`, or i) is non-NULL
+/// and nonzero.
+std::vector<uint32_t> SelectTrue(const ColumnVector& mask,
+                                 const uint32_t* rows, size_t n) {
+  std::vector<uint32_t> sel;
+  sel.reserve(n);
+  const uint8_t* valid = mask.validity().data();
+  auto collect = [&](auto is_true) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t e = rows != nullptr ? rows[i] : i;
+      if (valid[e] != 0 && is_true(e)) sel.push_back(static_cast<uint32_t>(i));
+    }
+  };
+  switch (mask.type()) {
+    case DataType::kBool: {
+      const uint8_t* v = mask.bools().data();
+      collect([v](size_t e) { return v[e] != 0; });
+      break;
+    }
+    case DataType::kInt64: {
+      const int64_t* v = mask.ints().data();
+      collect([v](size_t e) { return v[e] != 0; });
+      break;
+    }
+    case DataType::kDouble: {
+      const double* v = mask.doubles().data();
+      collect([v](size_t e) { return v[e] != 0.0; });
+      break;
+    }
+    case DataType::kString:
+      break;  // a string reads as 0.0: never true
+  }
+  return sel;
+}
+
 }  // namespace
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
@@ -262,6 +438,11 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
         }
         return out;
       }
+      if (IsComparison(expr.bin_op)) {
+        if (ColumnVectorPtr fast = TryCompareColumnToLiteral(expr, input)) {
+          return fast;
+        }
+      }
       FLOCK_ASSIGN_OR_RETURN(
           ColumnVectorPtr lhs,
           EvaluateExpr(*expr.children[0], input, registry));
@@ -346,6 +527,9 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
           expr.children.size() > fn->max_args) {
         return Status::InvalidArgument("wrong argument count for " +
                                        expr.function_name);
+      }
+      if (fn->scoring_kernel) {
+        return EvaluateScoringCall(expr, *fn, input, registry);
       }
       std::vector<ColumnVectorPtr> args;
       args.reserve(expr.children.size());
@@ -491,17 +675,17 @@ StatusOr<ColumnVectorPtr> EvaluateExpr(const Expr& expr,
 StatusOr<std::vector<uint32_t>> EvaluatePredicate(
     const Expr& expr, const RecordBatch& input,
     const FunctionRegistry* registry) {
+  const size_t n = input.num_rows();
+  if (IsBoundColumn(expr, input)) {
+    // A bare column (e.g. a PREDICT_GT verdict) is read in place.
+    return SelectTrue(*input.column(static_cast<size_t>(expr.column_index)),
+                      input.has_selection() ? input.selection().data()
+                                            : nullptr,
+                      n);
+  }
   FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr mask,
                          EvaluateExpr(expr, input, registry));
-  std::vector<uint32_t> sel;
-  const size_t n = input.num_rows();
-  sel.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!mask->IsNull(i) && mask->AsDouble(i) != 0.0) {
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return sel;
+  return SelectTrue(*mask, nullptr, n);
 }
 
 StatusOr<DataType> InferExprType(const Expr& expr,

@@ -22,6 +22,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Parallel pipeline tasks per executor thread (see RunPipeline).
+constexpr size_t kTasksPerThread = 16;
+
 uint64_t NanosSince(Clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -517,9 +520,11 @@ Status Executor::RunPipeline(PhysicalOperator* top, PipelineSink* sink) {
   }
 
   // Morsel-driven parallelism: partition the work list into contiguous
-  // chunks, one task per chunk; sinks merge per-task state in chunk order
-  // (deterministic, and preserves source order end-to-end).
-  size_t num_tasks = threads * 4;
+  // chunks, one task per chunk, which ParallelFor hands to whichever
+  // worker is free next; sinks merge per-task state in chunk order
+  // (deterministic, and preserves source order end-to-end). Several
+  // chunks per thread let a worker that drew cheap morsels take more.
+  size_t num_tasks = threads * kTasksPerThread;
   size_t chunk = std::max<size_t>(1, (work.size() + num_tasks - 1) / num_tasks);
   num_tasks = (work.size() + chunk - 1) / chunk;
 

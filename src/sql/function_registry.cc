@@ -29,7 +29,7 @@ bool FunctionRegistry::Contains(const std::string& name) const {
 
 bool FunctionRegistry::IsScoringFunction(const std::string& name) const {
   auto it = functions_.find(ToUpper(name));
-  return it != functions_.end() && it->second.scoring;
+  return it != functions_.end() && it->second.scoring_kernel != nullptr;
 }
 
 std::vector<std::string> FunctionRegistry::ListFunctions() const {

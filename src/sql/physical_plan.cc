@@ -298,19 +298,22 @@ std::string PredictScoreOp::label() const {
 StatusOr<RecordBatch> PredictScoreOp::ProcessMorsel(const ExecContext& ctx,
                                                     RecordBatch input) {
   const size_t child_width = input.num_columns();
-  RecordBatch out(output_schema());
-  for (size_t c = 0; c < child_width; ++c) {
-    out.SetColumn(c, input.column(c));
-  }
   for (size_t i = 0; i < calls.size(); ++i) {
     FLOCK_ASSIGN_OR_RETURN(ColumnVectorPtr col,
                            EvaluateExpr(*calls[i], input, ctx.registry));
-    FLOCK_ASSIGN_OR_RETURN(
-        col, NormalizeType(std::move(col),
-                           output_schema().column(child_width + i).type));
-    out.SetColumn(child_width + i, std::move(col));
+    const storage::ColumnDef& def = output_schema().column(child_width + i);
+    FLOCK_ASSIGN_OR_RETURN(col, NormalizeType(std::move(col), def.type));
+    if (input.has_selection()) {
+      // Scores are logical rows; the output shares the input's physical
+      // columns and selection, so place them at the selected positions.
+      auto placed = std::make_shared<ColumnVector>(col->type());
+      placed->AppendScattered(*col, input.selection(),
+                              input.num_physical_rows());
+      col = std::move(placed);
+    }
+    input.AddColumn(def, std::move(col));
   }
-  return out;
+  return input;
 }
 
 // ---------------------------------------------------------------------------

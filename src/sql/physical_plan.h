@@ -235,6 +235,9 @@ class ProjectOp : public PhysicalOperator {
 /// Hoisting scoring out of scalar-expression evaluation gives it its own
 /// EXPLAIN line and OperatorMetrics, and keeps threshold push-up intact
 /// (PREDICT_GT & friends are just calls with a bool output column).
+/// Scoring reads the input's feature columns through its selection vector
+/// (no gather first); the score columns are scattered back to physical
+/// positions so the output keeps the input's selection.
 class PredictScoreOp : public PhysicalOperator {
  public:
   PredictScoreOp(PhysicalOperatorPtr child, std::vector<ExprPtr> calls,
@@ -242,7 +245,6 @@ class PredictScoreOp : public PhysicalOperator {
 
   std::string label() const override;
   bool IsStreaming() const override { return true; }
-  bool NeedsDenseInput() const override { return true; }
   StatusOr<storage::RecordBatch> ProcessMorsel(
       const ExecContext& ctx, storage::RecordBatch input) override;
 

@@ -151,26 +151,99 @@ void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
   }
 }
 
+namespace {
+
+template <typename T>
+void Gather(const std::vector<T>& src, const std::vector<uint32_t>& sel,
+            std::vector<T>* dst) {
+  const size_t base = dst->size();
+  dst->resize(base + sel.size());
+  T* out = dst->data() + base;
+  for (size_t i = 0; i < sel.size(); ++i) out[i] = src[sel[i]];
+}
+
+template <typename T>
+void Scatter(const std::vector<T>& src, const std::vector<uint32_t>& pos,
+             size_t n, std::vector<T>* dst) {
+  const size_t base = dst->size();
+  dst->resize(base + n);
+  T* out = dst->data() + base;
+  for (size_t i = 0; i < pos.size(); ++i) out[pos[i]] = src[i];
+}
+
+}  // namespace
+
+double* ColumnVector::ExtendDoubles(size_t n) {
+  FLOCK_DCHECK(type_ == DataType::kDouble);
+  validity_.resize(validity_.size() + n, 1);
+  doubles_.resize(doubles_.size() + n);
+  return doubles_.data() + doubles_.size() - n;
+}
+
+uint8_t* ColumnVector::ExtendBools(size_t n) {
+  FLOCK_DCHECK(type_ == DataType::kBool);
+  validity_.resize(validity_.size() + n, 1);
+  bools_.resize(bools_.size() + n);
+  return bools_.data() + bools_.size() - n;
+}
+
+void ColumnVector::SetNull(size_t i) {
+  validity_[i] = 0;
+  switch (type_) {
+    case DataType::kBool:
+      bools_[i] = 0;
+      break;
+    case DataType::kInt64:
+      ints_[i] = 0;
+      break;
+    case DataType::kDouble:
+      doubles_[i] = 0.0;
+      break;
+    case DataType::kString:
+      strings_[i].clear();
+      break;
+  }
+}
+
 void ColumnVector::AppendSelected(const ColumnVector& src,
                                   const std::vector<uint32_t>& sel) {
   FLOCK_DCHECK(src.type_ == type_);
-  Reserve(size() + sel.size());
-  for (uint32_t idx : sel) {
-    validity_.push_back(src.validity_[idx]);
-    switch (type_) {
-      case DataType::kBool:
-        bools_.push_back(src.bools_[idx]);
-        break;
-      case DataType::kInt64:
-        ints_.push_back(src.ints_[idx]);
-        break;
-      case DataType::kDouble:
-        doubles_.push_back(src.doubles_[idx]);
-        break;
-      case DataType::kString:
-        strings_.push_back(src.strings_[idx]);
-        break;
-    }
+  Gather(src.validity_, sel, &validity_);
+  switch (type_) {
+    case DataType::kBool:
+      Gather(src.bools_, sel, &bools_);
+      break;
+    case DataType::kInt64:
+      Gather(src.ints_, sel, &ints_);
+      break;
+    case DataType::kDouble:
+      Gather(src.doubles_, sel, &doubles_);
+      break;
+    case DataType::kString:
+      Gather(src.strings_, sel, &strings_);
+      break;
+  }
+}
+
+void ColumnVector::AppendScattered(const ColumnVector& src,
+                                   const std::vector<uint32_t>& positions,
+                                   size_t n) {
+  FLOCK_DCHECK(src.type_ == type_);
+  FLOCK_DCHECK(positions.size() == src.size());
+  Scatter(src.validity_, positions, n, &validity_);  // unset rows stay 0
+  switch (type_) {
+    case DataType::kBool:
+      Scatter(src.bools_, positions, n, &bools_);
+      break;
+    case DataType::kInt64:
+      Scatter(src.ints_, positions, n, &ints_);
+      break;
+    case DataType::kDouble:
+      Scatter(src.doubles_, positions, n, &doubles_);
+      break;
+    case DataType::kString:
+      Scatter(src.strings_, positions, n, &strings_);
+      break;
   }
 }
 

@@ -35,6 +35,10 @@ class ColumnVector {
   /// Raw dense arrays for kernel loops (valid entries only meaningful).
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<int64_t>& ints() const { return ints_; }
+  const std::vector<uint8_t>& bools() const { return bools_; }
+  const std::vector<std::string>& strings() const { return strings_; }
+  /// One byte per row: 1 = valid, 0 = NULL.
+  const std::vector<uint8_t>& validity() const { return validity_; }
 
   // Typed appends.
   void AppendBool(bool v);
@@ -42,6 +46,14 @@ class ColumnVector {
   void AppendDouble(double v);
   void AppendString(std::string v);
   void AppendNull();
+
+  /// Appends `n` valid rows whose values the caller writes through the
+  /// returned pointer (valid until the next append). For kernels that
+  /// produce a whole morsel at once.
+  double* ExtendDoubles(size_t n);
+  uint8_t* ExtendBools(size_t n);
+  /// Turns existing row `i` into a NULL.
+  void SetNull(size_t i);
 
   /// Appends `v` after checking/casting to this column's type.
   Status AppendValue(const Value& v);
@@ -61,6 +73,11 @@ class ColumnVector {
   /// Copies the rows selected by `sel` (indices into src).
   void AppendSelected(const ColumnVector& src,
                       const std::vector<uint32_t>& sel);
+
+  /// Appends `n` rows: row `positions[i]` takes src's row i, every other
+  /// row is NULL (the inverse of AppendSelected).
+  void AppendScattered(const ColumnVector& src,
+                       const std::vector<uint32_t>& positions, size_t n);
 
  private:
   DataType type_;

@@ -16,8 +16,7 @@ RecordBatch::RecordBatch(Schema schema) : schema_(std::move(schema)) {
 }
 
 void RecordBatch::AddColumn(ColumnDef def, ColumnVectorPtr col) {
-  FLOCK_DCHECK(selection_ == nullptr);
-  FLOCK_DCHECK(columns_.empty() || col->size() == num_rows());
+  FLOCK_DCHECK(columns_.empty() || col->size() == num_physical_rows());
   schema_.AddColumn(std::move(def));
   columns_.push_back(std::move(col));
 }

@@ -53,7 +53,8 @@ class RecordBatch {
     columns_[i] = std::move(col);
   }
 
-  /// Adds a column to the right; extends the schema.
+  /// Adds a column to the right; extends the schema. The column holds
+  /// physical rows (any selection applies to it too).
   void AddColumn(ColumnDef def, ColumnVectorPtr col);
 
   /// Boxes logical row `r` into Values (debug/result paths).

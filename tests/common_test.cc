@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "common/random.h"
+#include "common/rw_mutex.h"
 #include "common/status.h"
 #include "common/status_or.h"
 #include "common/string_util.h"
@@ -155,6 +160,101 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndexes) {
   std::vector<std::atomic<int>> hits(1000);
   pool.ParallelFor(1000, [&](size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForUnevenCostRunsEachIndexOnceAndBalances) {
+  // Index 0 is slow: it waits (up to 10 s) until every other index has
+  // run. Handed out dynamically, the other indices go to the remaining
+  // workers meanwhile; split into fixed per-worker chunks, the indices
+  // queued behind index 0 in its chunk could not run until it returned.
+  ThreadPool pool(4);
+  constexpr size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t others_done = 0;
+  bool saw_all_others = false;
+  pool.ParallelFor(kN, [&](size_t i) {
+    hits[i]++;
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 0) {
+      saw_all_others = cv.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return others_done == kN - 1; });
+      return;
+    }
+    // Uneven cost among the rest too.
+    lock.unlock();
+    volatile size_t sink = 0;
+    for (size_t k = 0; k < (i % 7) * 20000; ++k) sink = sink + k;
+    lock.lock();
+    if (++others_done == kN - 1) cv.notify_all();
+  });
+  EXPECT_TRUE(saw_all_others);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForCallersWaitOnlyForTheirOwnWork) {
+  // A slow caller holds one worker; a fast caller sharing the pool must
+  // return while the slow one is still running, not wait for the whole
+  // pool to go idle.
+  ThreadPool pool(4);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  std::promise<void> slow_started;
+  std::atomic<bool> slow_running{false};
+  std::thread slow([&] {
+    pool.ParallelFor(1, [&](size_t) {
+      slow_running = true;
+      slow_started.set_value();
+      gate.wait_for(std::chrono::seconds(10));
+      slow_running = false;
+    });
+  });
+  slow_started.get_future().wait();
+
+  std::atomic<int> fast_hits{0};
+  pool.ParallelFor(64, [&](size_t) { fast_hits++; });
+  const bool slow_was_running = slow_running.load();
+  release.set_value();
+  slow.join();
+
+  EXPECT_EQ(fast_hits.load(), 64);
+  EXPECT_TRUE(slow_was_running);
+}
+
+TEST(RwMutexTest, WaitingWriterBlocksNewReaders) {
+  // A reader holds the lock; a writer queues. From then on no new reader
+  // gets in (a reader-preferring lock would keep admitting them and could
+  // starve the writer), and the writer runs once the first reader leaves.
+  RwMutex mu;
+  mu.lock_shared();
+  std::atomic<bool> wrote{false};
+  std::thread writer([&] {
+    mu.lock();
+    wrote = true;
+    mu.unlock();
+  });
+  bool readers_blocked = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < give_up) {
+    if (!mu.try_lock_shared()) {
+      readers_blocked = true;
+      break;
+    }
+    mu.unlock_shared();
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(readers_blocked);
+  EXPECT_FALSE(wrote.load());
+  mu.unlock_shared();
+  writer.join();
+  EXPECT_TRUE(wrote.load());
+  // Free again for both kinds of holders.
+  EXPECT_TRUE(mu.try_lock_shared());
+  mu.unlock_shared();
+  EXPECT_TRUE(mu.try_lock());
+  mu.unlock();
 }
 
 TEST(ThreadPoolTest, WaitIdleBlocksUntilDone) {

@@ -331,6 +331,46 @@ TEST_F(FlockEngineTest, AccessControlDeniesAndAudits) {
   EXPECT_TRUE(saw_score);
 }
 
+TEST_F(FlockEngineTest, ScoringAuditFoldsMorselsIntoOneEvent) {
+  // Access is checked once per morsel; a scan over several morsels (here
+  // 2 on 2 threads) leaves one SCORE event carrying every scored row.
+  auto score_events_since = [&](size_t from) {
+    std::vector<AuditEvent> out;
+    std::vector<AuditEvent> log = engine_.models()->audit_log();
+    for (size_t i = from; i < log.size(); ++i) {
+      if (log[i].kind == AuditEvent::Kind::kScore) out.push_back(log[i]);
+    }
+    return out;
+  };
+  ASSERT_GT(kRows, sql::ExecutorOptions().morsel_size);
+  size_t before = engine_.models()->audit_log().size();
+  Exec("SELECT AVG(" + PredictCall() + ") FROM users");
+  std::vector<AuditEvent> scored = score_events_since(before);
+  ASSERT_EQ(scored.size(), 1u);
+  EXPECT_EQ(scored[0].model, "churn");
+  EXPECT_EQ(scored[0].rows, kRows);
+
+  // A denial is recorded as its own event, and the next grant starts a
+  // new SCORE event rather than extending one from before the denial.
+  ASSERT_TRUE(engine_.models()->SetAccessControl("churn", {"alice"}).ok());
+  engine_.SetPrincipal("mallory");
+  auto denied = engine_.Execute("SELECT AVG(" + PredictCall() + ") FROM users");
+  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
+  std::vector<AuditEvent> log = engine_.models()->audit_log();
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.back().kind, AuditEvent::Kind::kDenied);
+  EXPECT_EQ(log.back().principal, "mallory");
+
+  engine_.SetPrincipal("alice");
+  before = engine_.models()->audit_log().size();
+  Exec("SELECT AVG(" + PredictCall() + ") FROM users");
+  Exec("SELECT AVG(" + PredictCall() + ") FROM users");
+  scored = score_events_since(before);
+  ASSERT_EQ(scored.size(), 1u);
+  EXPECT_EQ(scored[0].principal, "alice");
+  EXPECT_EQ(scored[0].rows, 2 * kRows);
+}
+
 TEST_F(FlockEngineTest, UnknownModelErrors) {
   auto r = engine_.Execute("SELECT PREDICT(ghost, age) FROM users");
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);

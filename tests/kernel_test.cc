@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "flock/model_registry.h"
+#include "flock/predict_functions.h"
 #include "flock/scoring.h"
 #include "ml/dataset.h"
 #include "ml/dense_kernel.h"
@@ -51,6 +53,9 @@
 #include "ml/runtime.h"
 #include "ml/tree.h"
 #include "serve/coalescer.h"
+#include "sql/evaluator.h"
+#include "sql/function_registry.h"
+#include "storage/record_batch.h"
 
 namespace flock::kernel_test {
 
@@ -536,6 +541,379 @@ TEST(DenseKernelThresholdTest, KillMidThresholdBatchReturnsCancelled) {
   EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
   EXPECT_NE(result.message().find("dense_kernel.block"), std::string::npos)
       << result.message();
+}
+
+// ---------------------------------------------------------------------------
+// 1c. Columnar scoring: PREDICT and PREDICT_GT/GE/LT/LE bind the morsel's
+// columns in place (through its selection vector, literals resolved once)
+// and the kernel gathers each block straight from them. Every result must
+// equal AssembleFeatures + GraphRuntime on the materialized rows, bitwise.
+
+using storage::DataType;
+using storage::RecordBatch;
+using storage::Value;
+
+/// Rows for the zoo pipelines' inputs as SQL columns of mixed types:
+/// f0 DOUBLE (NULLs and NaNs), f1 INT, f2 BOOL, f3 DOUBLE, seg VARCHAR
+/// (the vocabulary a/b/c, an unknown category, and NULLs).
+RecordBatch ZooColumns(size_t rows, uint64_t seed) {
+  RecordBatch batch(storage::Schema({{"f0", DataType::kDouble, true},
+                                     {"f1", DataType::kInt64, true},
+                                     {"f2", DataType::kBool, true},
+                                     {"f3", DataType::kDouble, true},
+                                     {"seg", DataType::kString, true}}));
+  static const char* const kSegs[] = {"a", "b", "c", "zz"};
+  Random rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const double u = rng.NextDouble();
+    Value f0 = u < 0.08   ? Value::Null(DataType::kDouble)
+               : u < 0.12 ? Value::Double(std::nan(""))
+                          : Value::Double(rng.NextGaussian() * 2.0 + 1.0);
+    Value f1 = rng.NextDouble() < 0.05
+                   ? Value::Null(DataType::kInt64)
+                   : Value::Int(static_cast<int64_t>(rng.Uniform(7)) - 3);
+    Value f2 = Value::Bool(rng.NextDouble() < 0.5);
+    Value f3 = Value::Double(rng.NextGaussian());
+    Value seg = rng.NextDouble() < 0.1
+                    ? Value::Null(DataType::kString)
+                    : Value::String(kSegs[rng.Uniform(4)]);
+    EXPECT_TRUE(batch.AppendRow({f0, f1, f2, f3, seg}).ok());
+  }
+  return batch;
+}
+
+sql::ExprPtr FeatureRef(int index) {
+  sql::ExprPtr e = sql::Expr::MakeColumnRef("", "c" + std::to_string(index));
+  e->column_index = index;
+  return e;
+}
+
+/// fn(model[, threshold], f0, f1, f2, f3, seg) over ZooColumns' columns.
+sql::ExprPtr ScoringCall(const std::string& fn, const std::string& model,
+                         const double* threshold = nullptr) {
+  std::vector<sql::ExprPtr> args;
+  args.push_back(sql::Expr::MakeLiteral(Value::String(model)));
+  if (threshold != nullptr) {
+    args.push_back(sql::Expr::MakeLiteral(Value::Double(*threshold)));
+  }
+  for (int c = 0; c < 5; ++c) args.push_back(FeatureRef(c));
+  return sql::Expr::MakeFunction(fn, std::move(args));
+}
+
+/// Routes single-row PREDICTs through flock::ScoreBatch, counting calls.
+class CountingCoalescer : public flock::ScoreCoalescer {
+ public:
+  StatusOr<double> ScoreOne(const flock::ModelEntry& entry, const double* row,
+                            size_t width) override {
+    ++calls;
+    Matrix m(1, width);
+    std::copy(row, row + width, m.row(0));
+    FLOCK_ASSIGN_OR_RETURN(std::vector<double> scores,
+                           flock::ScoreBatch(entry, m));
+    return scores[0];
+  }
+  std::atomic<int> calls{0};
+};
+
+/// A registry holding the model zoo plus `concat#hand`, a Concat graph
+/// the kernel does not compile (its calls fall back to GraphRuntime),
+/// with the PREDICT family registered over it.
+class ColumnarScoring {
+ public:
+  ColumnarScoring() {
+    uint64_t seed = 701;
+    for (const char* kind : kZoo) {
+      EXPECT_TRUE(models.Register(kind, MakeZooPipeline(kind, seed)).ok());
+      seed += 13;
+    }
+    EXPECT_TRUE(
+        models.RegisterSpecialization("concat#hand", ConcatEntry()).ok());
+    flock::RegisterPredictFunctions(&functions, &models, context);
+  }
+
+  const flock::ModelEntry& Entry(const std::string& name) const {
+    auto entry = name.find('#') == std::string::npos
+                     ? models.Get(name)
+                     : models.GetSpecialization(name);
+    EXPECT_TRUE(entry.ok());
+    return **entry;
+  }
+
+  StatusOr<storage::ColumnVectorPtr> Eval(const sql::Expr& call,
+                                          const RecordBatch& input) const {
+    return sql::EvaluateExpr(call, input, &functions);
+  }
+
+  flock::ModelRegistry models;
+  sql::FunctionRegistry functions;
+  std::shared_ptr<flock::ScoringContext> context =
+      std::make_shared<flock::ScoringContext>();
+
+ private:
+  static flock::ModelEntry ConcatEntry() {
+    ModelGraph graph;
+    int input = graph.SetInput(5);
+    GraphNode scale;
+    scale.op = OpType::kScaler;
+    scale.inputs = {input};
+    scale.offset = std::vector<double>(5, 0.5);
+    scale.scale = std::vector<double>(5, 2.0);
+    int scaled = graph.AddNode(scale);
+    GraphNode concat;
+    concat.op = OpType::kConcat;
+    concat.inputs = {input, scaled};
+    int both = graph.AddNode(concat);
+    GraphNode gemm;
+    gemm.op = OpType::kGemm;
+    gemm.inputs = {both};
+    gemm.gemm_weights = Matrix(1, 10, 0.125);
+    gemm.gemm_bias = {-0.25};
+    int logit = graph.AddNode(gemm);
+    GraphNode sigmoid;
+    sigmoid.op = OpType::kSigmoid;
+    sigmoid.inputs = {logit};
+    graph.SetOutput(graph.AddNode(sigmoid));
+    EXPECT_TRUE(graph.Finalize().ok());
+    flock::ModelEntry entry = EntryForGraph(std::move(graph));
+    entry.name = "concat#hand";
+    std::vector<FeatureSpec> specs = NumericSpecs(4);
+    specs.push_back(
+        FeatureSpec{"seg", FeatureKind::kCategorical, {"a", "b", "c"}});
+    entry.pipeline.SetInputs(std::move(specs));
+    return entry;
+  }
+};
+
+/// The reference: materialize the view's rows and encode them value by
+/// value (NULL -> NaN, a string -> its first vocabulary index or NaN, a
+/// number as a double), independently of the kernel's column gather; then
+/// GraphRuntime (scores) / ReferenceVerdicts. AssembleFeatures on the
+/// dense columns must produce the same matrix, bitwise.
+Matrix MaterializedFeatures(const flock::ModelEntry& entry,
+                            const RecordBatch& view) {
+  RecordBatch dense = view.Materialize();
+  Matrix raw(dense.num_rows(), dense.num_columns());
+  for (size_t r = 0; r < dense.num_rows(); ++r) {
+    for (size_t c = 0; c < dense.num_columns(); ++c) {
+      const Value v = dense.column(c)->GetValue(r);
+      const std::vector<std::string>& vocab = entry.pipeline.inputs()[c].vocab;
+      double code = std::nan("");
+      if (!v.is_null() && v.type() != DataType::kString) {
+        code = v.AsDouble();
+      } else if (!v.is_null()) {
+        auto it = std::find(vocab.begin(), vocab.end(), v.string_value());
+        if (it != vocab.end()) code = static_cast<double>(it - vocab.begin());
+      }
+      raw.at(r, c) = code;
+    }
+  }
+  std::vector<storage::ColumnVectorPtr> cols;
+  for (size_t c = 0; c < dense.num_columns(); ++c) {
+    cols.push_back(dense.column(c));
+  }
+  auto assembled = flock::AssembleFeatures(entry, cols, dense.num_rows());
+  EXPECT_TRUE(assembled.ok()) << assembled.status().ToString();
+  for (size_t i = 0; assembled.ok() && i < raw.data().size(); ++i) {
+    EXPECT_PRED2(BitEq, assembled->data()[i], raw.data()[i])
+        << "AssembleFeatures element " << i;
+  }
+  return raw;
+}
+
+void ExpectColumnarMatchesMaterialized(const ColumnarScoring& scoring,
+                                       const std::string& model,
+                                       const RecordBatch& view) {
+  const flock::ModelEntry& entry = scoring.Entry(model);
+  const size_t n = view.num_rows();
+  Matrix raw = MaterializedFeatures(entry, view);
+  std::vector<double> expected;
+  if (n > 0) {
+    GraphRuntime runtime(&entry.graph);
+    auto scores = runtime.RunToScores(raw);
+    ASSERT_TRUE(scores.ok());
+    expected = *scores;
+  }
+  auto got = scoring.Eval(*ScoringCall("PREDICT", model), view);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ((*got)->size(), n);
+  for (size_t r = 0; r < n; ++r) {
+    ASSERT_FALSE((*got)->IsNull(r));
+    ASSERT_PRED2(BitEq, (*got)->double_at(r), expected[r]) << "row " << r;
+  }
+  const char* const fns[] = {"PREDICT_GT", "PREDICT_GE", "PREDICT_LT",
+                             "PREDICT_LE"};
+  for (double t : {0.3, 0.5, 0.8}) {
+    for (size_t k = 0; k < 4; ++k) {
+      auto verdicts = scoring.Eval(*ScoringCall(fns[k], model, &t), view);
+      ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+      ASSERT_EQ((*verdicts)->size(), n);
+      std::vector<bool> want;
+      if (n > 0) want = ReferenceVerdicts(entry, raw, t, kOps[k]);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ((*verdicts)->bool_at(r), want[r])
+            << fns[k] << " " << t << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(ColumnarScoringTest, MatchesAssembledRowsAcrossModelsAndSelections) {
+  ColumnarScoring scoring;
+  uint64_t seed = 809;
+  for (size_t rows : {size_t{1}, size_t{255}, size_t{256}, size_t{257},
+                      size_t{2048}}) {
+    const RecordBatch dense = ZooColumns(rows, seed++);
+    std::vector<uint32_t> sparse, full;
+    for (uint32_t r = 0; r < rows; ++r) {
+      full.push_back(r);
+      if (r % 3 == 1 || r % 7 == 0) sparse.push_back(r);
+    }
+    const std::vector<std::pair<const char*, RecordBatch>> views = {
+        {"none", dense},
+        {"sparse", dense.SelectView(sparse)},
+        {"empty", dense.SelectView({})},
+        {"full", dense.SelectView(full)}};
+    for (const auto& [selection, view] : views) {
+      for (const char* model :
+           {"linear", "logistic", "gbdt", "forest", "concat#hand"}) {
+        SCOPED_TRACE(std::string(model) + " rows " + std::to_string(rows) +
+                     " selection " + selection);
+        ExpectColumnarMatchesMaterialized(scoring, model, view);
+      }
+    }
+  }
+}
+
+TEST(ColumnarScoringTest, LiteralFeaturesResolveOnceAsConstants) {
+  // PREDICT(gbdt, 1.5, f1, NULL, f3, 'b'): literals bind as constant
+  // columns; the reference broadcasts them into real columns.
+  ColumnarScoring scoring;
+  const flock::ModelEntry& entry = scoring.Entry("gbdt");
+  const RecordBatch dense = ZooColumns(300, 911);
+  std::vector<uint32_t> sel = {0, 5, 17, 299};
+  const RecordBatch view = dense.SelectView(sel);
+
+  std::vector<sql::ExprPtr> args;
+  args.push_back(sql::Expr::MakeLiteral(Value::String("gbdt")));
+  args.push_back(sql::Expr::MakeLiteral(Value::Double(1.5)));
+  args.push_back(FeatureRef(1));
+  args.push_back(sql::Expr::MakeLiteral(Value::Null()));
+  args.push_back(FeatureRef(3));
+  args.push_back(sql::Expr::MakeLiteral(Value::String("b")));
+  auto got = scoring.Eval(*sql::Expr::MakeFunction("PREDICT", std::move(args)),
+                          view);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  RecordBatch gathered = view.Materialize();
+  auto broadcast = [&](const Value& v, DataType type) {
+    auto col = std::make_shared<storage::ColumnVector>(type);
+    for (size_t r = 0; r < sel.size(); ++r) {
+      EXPECT_TRUE(col->AppendValue(v).ok());
+    }
+    return col;
+  };
+  auto raw = flock::AssembleFeatures(
+      entry,
+      {broadcast(Value::Double(1.5), DataType::kDouble), gathered.column(1),
+       broadcast(Value::Null(DataType::kDouble), DataType::kDouble),
+       gathered.column(3), broadcast(Value::String("b"), DataType::kString)},
+      sel.size());
+  ASSERT_TRUE(raw.ok());
+  GraphRuntime runtime(&entry.graph);
+  auto expected = runtime.RunToScores(*raw);
+  ASSERT_TRUE(expected.ok());
+  for (size_t r = 0; r < sel.size(); ++r) {
+    EXPECT_PRED2(BitEq, (*got)->double_at(r), (*expected)[r]) << "row " << r;
+  }
+}
+
+TEST(ColumnarScoringTest, StringIntoNumericAndArityAreInvalidArgument) {
+  ColumnarScoring scoring;
+  const RecordBatch dense = ZooColumns(40, 919);
+  const RecordBatch view = dense.SelectView({1, 2, 3});
+  // seg (VARCHAR) bound to the numeric f0.
+  std::vector<sql::ExprPtr> args;
+  args.push_back(sql::Expr::MakeLiteral(Value::String("gbdt")));
+  args.push_back(FeatureRef(4));
+  for (int c = 1; c < 5; ++c) args.push_back(FeatureRef(c));
+  auto bad = scoring.Eval(*sql::Expr::MakeFunction("PREDICT", std::move(args)),
+                          view);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("received a string"),
+            std::string::npos)
+      << bad.status().ToString();
+  // A string literal bound to a numeric feature, in a threshold call.
+  args.clear();
+  args.push_back(sql::Expr::MakeLiteral(Value::String("logistic")));
+  args.push_back(sql::Expr::MakeLiteral(Value::Double(0.5)));
+  args.push_back(sql::Expr::MakeLiteral(Value::String("a")));
+  for (int c = 1; c < 5; ++c) args.push_back(FeatureRef(c));
+  bad = scoring.Eval(*sql::Expr::MakeFunction("PREDICT_GT", std::move(args)),
+                     view);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // Too few features.
+  args.clear();
+  args.push_back(sql::Expr::MakeLiteral(Value::String("forest")));
+  args.push_back(FeatureRef(0));
+  args.push_back(FeatureRef(1));
+  bad = scoring.Eval(*sql::Expr::MakeFunction("PREDICT", std::move(args)),
+                     view);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Kills the request from inside the PREDICT call, after binding and
+/// before the kernel's first block, so the kill lands at a known point.
+class KillingObserver : public flock::FeatureObserver {
+ public:
+  explicit KillingObserver(CancelToken token) : token_(std::move(token)) {}
+  void ObserveFeatures(const flock::ModelEntry&, const Matrix&,
+                       size_t) override {
+    token_.Cancel();
+  }
+
+ private:
+  CancelToken token_;
+};
+
+TEST(ColumnarScoringTest, KillDuringScoringReturnsCancelled) {
+  ColumnarScoring scoring;
+  const RecordBatch dense = ZooColumns(2048, 929);
+  std::vector<uint32_t> sel;
+  for (uint32_t r = 0; r < dense.num_rows(); r += 2) sel.push_back(r);
+  const RecordBatch view = dense.SelectView(sel);
+  const double t = 0.5;
+  for (const char* fn : {"PREDICT", "PREDICT_GT"}) {
+    CancelToken token = CancelToken::Cancellable();
+    KillingObserver observer(token);
+    scoring.context->observer.store(&observer);
+    Status result;
+    {
+      CancelScope scope(token);
+      const bool threshold = std::string(fn) != "PREDICT";
+      result = scoring.Eval(*ScoringCall(fn, "gbdt", threshold ? &t : nullptr),
+                            view)
+                   .status();
+    }
+    scoring.context->observer.store(nullptr);
+    EXPECT_EQ(result.code(), StatusCode::kCancelled) << fn << result.ToString();
+    EXPECT_NE(result.message().find("dense_kernel.block"), std::string::npos)
+        << result.message();
+  }
+}
+
+TEST(ColumnarScoringTest, SingleRowGoesThroughTheCoalescer) {
+  ColumnarScoring scoring;
+  CountingCoalescer coalescer;
+  scoring.context->coalescer.store(&coalescer);
+  const RecordBatch dense = ZooColumns(64, 937);
+  for (uint32_t row : {0u, 9u, 63u}) {
+    const RecordBatch view = dense.SelectView({row});
+    const int before = coalescer.calls.load();
+    ExpectColumnarMatchesMaterialized(scoring, "gbdt", view);
+    // PREDICT went through the coalescer; the threshold calls did not.
+    EXPECT_EQ(coalescer.calls.load(), before + 1) << "row " << row;
+  }
+  scoring.context->coalescer.store(nullptr);
 }
 
 // ---------------------------------------------------------------------------

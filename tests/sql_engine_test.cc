@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/cancel.h"
 #include "sql/engine.h"
+#include "sql/evaluator.h"
 #include "sql/parser.h"
 #include "storage/database.h"
 
@@ -573,6 +576,152 @@ TEST_F(SqlEngineTest, MidScanKillStopsCrossJoinQuickly) {
   // The kill was honoured promptly: the engine noticed within the
   // acceptance budget, not at the end of the join.
   EXPECT_LT(token.CancelLatencyMs(), 100.0);
+}
+
+// ---------------------------------------------------------------------------
+// Typed evaluator paths vs the generic ones. `col OP literal` runs in one
+// typed loop over the column (read through the selection, no broadcast
+// literal column); the generic path is the same comparison against a
+// column holding the literal. The mask -> selection loops are checked
+// against the row-by-row definition (non-NULL and nonzero).
+
+ExprPtr BoundColumn(int index) {
+  ExprPtr e = Expr::MakeColumnRef("", "c" + std::to_string(index));
+  e->column_index = index;
+  return e;
+}
+
+/// Columns: 0 = INT, 1 = DOUBLE, 2 = BOOL, then one column per literal in
+/// `literals` holding that literal on every row.
+storage::RecordBatch ComparisonBatch(const std::vector<Value>& literals) {
+  std::vector<storage::ColumnDef> defs = {{"i", DataType::kInt64, true},
+                                          {"d", DataType::kDouble, true},
+                                          {"b", DataType::kBool, true}};
+  for (size_t k = 0; k < literals.size(); ++k) {
+    defs.push_back({"k" + std::to_string(k), literals[k].type(), false});
+  }
+  storage::RecordBatch batch{storage::Schema(defs)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> ints = {
+      Value::Int(-3), Value::Int(0),  Value::Int(1), Value::Int(2),
+      Value::Null(),  Value::Int(5),  Value::Int(2), Value::Int(-1),
+      Value::Int(0),  Value::Null(),  Value::Int(7), Value::Int(1)};
+  const std::vector<Value> doubles = {
+      Value::Double(-1.5), Value::Double(0.0),  Value::Double(0.2),
+      Value::Double(0.25), Value::Double(nan),  Value::Null(DataType::kDouble),
+      Value::Double(2.0),  Value::Double(-0.0), Value::Double(inf),
+      Value::Double(nan),  Value::Double(0.2),  Value::Double(-inf)};
+  const std::vector<Value> bools = {
+      Value::Bool(true),  Value::Bool(false), Value::Null(DataType::kBool),
+      Value::Bool(true),  Value::Bool(false), Value::Bool(true),
+      Value::Bool(false), Value::Bool(true),  Value::Bool(true),
+      Value::Null(DataType::kBool), Value::Bool(false), Value::Bool(true)};
+  for (size_t r = 0; r < ints.size(); ++r) {
+    std::vector<Value> row = {ints[r], doubles[r], bools[r]};
+    for (const Value& lit : literals) row.push_back(lit);
+    EXPECT_TRUE(batch.AppendRow(row).ok());
+  }
+  return batch;
+}
+
+/// The row-by-row definition of a predicate's selection.
+std::vector<uint32_t> ReferenceSelection(const storage::ColumnVector& mask) {
+  std::vector<uint32_t> sel;
+  for (size_t i = 0; i < mask.size(); ++i) {
+    if (!mask.IsNull(i) && mask.AsDouble(i) != 0.0) {
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return sel;
+}
+
+void ExpectSameBools(const storage::ColumnVector& got,
+                     const storage::ColumnVector& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.type(), DataType::kBool) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.IsNull(i), want.IsNull(i)) << what << " row " << i;
+    if (!got.IsNull(i)) {
+      ASSERT_EQ(got.bool_at(i), want.bool_at(i)) << what << " row " << i;
+    }
+  }
+}
+
+TEST(EvaluatorTypedPathTest, ColumnVersusLiteralMatchesGenericCompare) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> literals = {Value::Int(0), Value::Int(2),
+                                       Value::Double(0.2),
+                                       Value::Double(-1.5),
+                                       Value::Double(nan), Value::Bool(true)};
+  const storage::RecordBatch dense = ComparisonBatch(literals);
+  const std::vector<std::pair<std::string, storage::RecordBatch>> inputs = {
+      {"dense", dense},
+      {"sparse", dense.SelectView({0, 2, 4, 5, 9, 11})},
+      {"empty", dense.SelectView({})},
+      {"reordered", dense.SelectView({11, 3, 3, 0, 4})}};
+  const BinaryOp ops[] = {BinaryOp::kEq,   BinaryOp::kNotEq, BinaryOp::kLt,
+                          BinaryOp::kLtEq, BinaryOp::kGt,    BinaryOp::kGtEq};
+  for (const auto& [name, input] : inputs) {
+    for (int col = 0; col < 3; ++col) {
+      for (size_t k = 0; k < literals.size(); ++k) {
+        const int lit_col = 3 + static_cast<int>(k);
+        for (BinaryOp op : ops) {
+          const std::string what =
+              name + " col " + std::to_string(col) + " literal " +
+              literals[k].ToString() + " op " +
+              std::to_string(static_cast<int>(op));
+          // col OP literal, and literal OP col.
+          for (bool literal_left : {false, true}) {
+            ExprPtr lit = Expr::MakeLiteral(literals[k]);
+            ExprPtr typed =
+                literal_left
+                    ? Expr::MakeBinary(op, std::move(lit), BoundColumn(col))
+                    : Expr::MakeBinary(op, BoundColumn(col), std::move(lit));
+            ExprPtr generic =
+                literal_left
+                    ? Expr::MakeBinary(op, BoundColumn(lit_col),
+                                       BoundColumn(col))
+                    : Expr::MakeBinary(op, BoundColumn(col),
+                                       BoundColumn(lit_col));
+            auto got = EvaluateExpr(*typed, input, nullptr);
+            auto want = EvaluateExpr(*generic, input, nullptr);
+            ASSERT_TRUE(got.ok() && want.ok()) << what;
+            ExpectSameBools(**got, **want, what);
+            auto sel = EvaluatePredicate(*typed, input, nullptr);
+            ASSERT_TRUE(sel.ok()) << what;
+            EXPECT_EQ(*sel, ReferenceSelection(**want)) << what;
+          }
+        }
+      }
+    }
+    // A bare BOOL column as the predicate is read through the selection.
+    auto sel = EvaluatePredicate(*BoundColumn(2), input, nullptr);
+    auto mask = EvaluateExpr(*BoundColumn(2), input, nullptr);
+    ASSERT_TRUE(sel.ok() && mask.ok());
+    EXPECT_EQ(*sel, ReferenceSelection(**mask)) << name;
+  }
+}
+
+TEST(EvaluatorTypedPathTest, NanComparesEqualUnderThreeWayCompare) {
+  // EvaluateComparison orders with (a < b) ? -1 : (a > b) ? 1 : 0, so a NaN
+  // is "equal" to every literal. Pinned so the typed loop keeps it.
+  const storage::RecordBatch batch = ComparisonBatch({});
+  const size_t nan_row = 4;  // column d holds NaN here
+  auto eval = [&](BinaryOp op) {
+    ExprPtr e = Expr::MakeBinary(op, BoundColumn(1),
+                                 Expr::MakeLiteral(Value::Double(0.2)));
+    auto col = EvaluateExpr(*e, batch, nullptr);
+    EXPECT_TRUE(col.ok());
+    return (*col)->bool_at(nan_row);
+  };
+  EXPECT_TRUE(eval(BinaryOp::kEq));
+  EXPECT_FALSE(eval(BinaryOp::kNotEq));
+  EXPECT_FALSE(eval(BinaryOp::kLt));
+  EXPECT_TRUE(eval(BinaryOp::kLtEq));
+  EXPECT_FALSE(eval(BinaryOp::kGt));
+  EXPECT_TRUE(eval(BinaryOp::kGtEq));
 }
 
 }  // namespace
