@@ -35,7 +35,7 @@ struct Result {
 Result Run(FlockEngine* engine, const std::string& name, bool enabled,
            CrossOptimizer::Options options) {
   engine->set_enable_cross_optimizer(enabled);
-  *engine->cross_optimizer()->mutable_options() = options;
+  engine->set_cross_optimizer_options(options);
   engine->models()->ClearSpecializations();
   std::string query = TheQuery();
   auto warm = engine->Execute(query);  // build specializations once

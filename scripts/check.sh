@@ -112,13 +112,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== TSan build + concurrent-suite ctest =="
   cmake -B build-tsan -S . -DFLOCK_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target serve_test common_test \
-    parallel_differential_test obs_test
+    parallel_differential_test obs_test flock_test
   # Concurrency-sensitive suites only: serving (concurrent sessions over
   # one shared engine), the thread pool, the morsel-parallel executor,
-  # and the observability primitives hit from every serving thread
-  # (latency histogram, metrics registry, slow log, admission drain).
+  # the observability primitives hit from every serving thread (latency
+  # histogram, metrics registry, slow log, admission drain), and
+  # concurrent plan-cache misses storing cross-optimizer decisions in the
+  # model registry.
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Serve|ServerMetrics|LatencyHistogram|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|MetricsRegistry|SlowQueryLog|ObsEngine'
+    -R 'Serve|ServerMetrics|LatencyHistogram|SessionManager|AdmissionController|ThreadPool|ParallelDifferential|MetricsRegistry|SlowQueryLog|ObsEngine|ConcurrentMissesSpecializeOncePerKey'
   # The full observability suite carries the `obs` ctest label; run it
   # whole under TSan too (tracing installs thread-local recorders on the
   # serving workers, exactly the kind of state TSan should vet).

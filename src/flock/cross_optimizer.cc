@@ -1,11 +1,14 @@
 #include "flock/cross_optimizer.h"
 
+#include <bit>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
-#include <functional>
+#include <optional>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "ml/runtime.h"
 #include "sql/optimizer.h"
 
@@ -79,12 +82,22 @@ Status ForEachExprRoot(LogicalPlan* plan,
 /// Finds the table scan feeding `plan` through Filter-only links (schemas
 /// are stable across filters, so column indexes line up). Returns nullptr
 /// when the chain is broken by a schema-changing node.
-const LogicalPlan* UnderlyingScan(const LogicalPlan* plan) {
-  const LogicalPlan* node = plan;
+LogicalPlan* UnderlyingScan(LogicalPlan* plan) {
+  LogicalPlan* node = plan;
   while (node->kind == PlanKind::kFilter) {
     node = node->children[0].get();
   }
   return node->kind == PlanKind::kScan ? node : nullptr;
+}
+
+/// Resolves a PREDICT call's model name: a user-visible model or, once an
+/// earlier rule rewrote the call, one of its specializations.
+StatusOr<const ModelEntry*> ResolveModel(const ModelRegistry& models,
+                                         const std::string& name) {
+  if (name.find('#') != std::string::npos) {
+    return models.GetSpecialization(name);
+  }
+  return models.Get(name);
 }
 
 std::string MaskKey(const std::vector<bool>& used) {
@@ -104,6 +117,11 @@ bool ContainsPredict(const Expr& e) {
     if (c && ContainsPredict(*c)) return true;
   }
   return false;
+}
+
+void CrossOptimizer::set_options(Options options) {
+  std::lock_guard<std::mutex> lock(rewrite_mu_);
+  options_ = options;
 }
 
 Status CrossOptimizer::Rewrite(PlanPtr* plan) {
@@ -242,13 +260,9 @@ Status CrossOptimizer::PruneFeatures(LogicalPlan* plan) {
   return ForEachExprRoot(plan, [&](ExprPtr* root) -> Status {
     return VisitPredictCalls(root->get(), [&](Expr* call) -> Status {
       FLOCK_ASSIGN_OR_RETURN(std::string name, CallModelName(*call));
-      const ModelEntry* entry = nullptr;
-      if (name.find('#') != std::string::npos) {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->GetSpecialization(name));
-      } else {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->Get(name));
-      }
-      std::vector<bool> used = entry->graph.UsedInputColumns();
+      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry,
+                             ResolveModel(*models_, name));
+      const std::vector<bool>& used = entry->used_inputs;
       size_t dropped = 0;
       for (bool u : used) dropped += u ? 0 : 1;
       if (dropped == 0) return Status::OK();
@@ -383,7 +397,7 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
     FLOCK_RETURN_NOT_OK(CompressModels(child.get()));
   }
   if (plan->children.empty()) return Status::OK();
-  const LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
+  LogicalPlan* scan = UnderlyingScan(plan->children[0].get());
   if (scan == nullptr || scan->table == nullptr) return Status::OK();
 
   // Data predicates between this node and the scan narrow column ranges
@@ -444,12 +458,8 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
   return ForEachExprRoot(plan, [&](ExprPtr* root) -> Status {
     return VisitPredictCalls(root->get(), [&](Expr* call) -> Status {
       FLOCK_ASSIGN_OR_RETURN(std::string name, CallModelName(*call));
-      const ModelEntry* entry = nullptr;
-      if (name.find('#') != std::string::npos) {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->GetSpecialization(name));
-      } else {
-        FLOCK_ASSIGN_OR_RETURN(entry, models_->Get(name));
-      }
+      FLOCK_ASSIGN_OR_RETURN(const ModelEntry* entry,
+                             ResolveModel(*models_, name));
       if (entry->tree_node_id < 0) return Status::OK();  // trees only
 
       size_t offset = FeatureArgOffset(*call);
@@ -522,42 +532,52 @@ Status CrossOptimizer::CompressModels(LogicalPlan* plan) {
       }
       if (!any_known) return Status::OK();
 
-      // The cache key must reflect everything the ranges depend on: table
-      // version (statistics) AND the predicate-derived bounds.
-      uint64_t range_hash = 0x9E3779B97F4A7C15ULL;
-      for (const auto& r : ranges) {
-        range_hash = HashCombine(range_hash, r.known ? 1 : 0);
+      // The decision is a function of the entry and the exact ranges, so
+      // it is memoized under exactly those (plus the table version that
+      // bounds its lifetime); the first plan decides, later ones reuse.
+      const uint64_t table_version = table.current_version();
+      CompressionKey key;
+      key.model = ToLower(name);
+      key.table = table.name();
+      key.table_version = table_version;
+      key.bounds.reserve(3 * width);
+      for (const ml::ColumnRange& r : ranges) {
+        key.bounds.push_back(r.known ? 1 : 0);
         if (r.known) {
-          range_hash = HashCombine(
-              range_hash, static_cast<uint64_t>(r.min * 1e6));
-          range_hash = HashCombine(
-              range_hash, static_cast<uint64_t>(r.max * 1e6));
+          key.bounds.push_back(std::bit_cast<uint64_t>(r.min));
+          key.bounds.push_back(std::bit_cast<uint64_t>(r.max));
         }
       }
-      char range_key[24];
-      std::snprintf(range_key, sizeof(range_key), "%llx",
-                    static_cast<unsigned long long>(range_hash &
-                                                    0xFFFFFFFF));
-      std::string key = name + "#c" + scan->table_name + "v" +
-                        std::to_string(scan->table->current_version()) +
-                        "r" + range_key;
-      if (!models_->HasSpecialization(key)) {
-        ModelEntry spec;
-        spec.name = key;
-        spec.base_name = entry->base_name.empty()
-                             ? name.substr(0, name.find('#'))
-                             : entry->base_name;
-        spec.pipeline = entry->pipeline;
-        spec.graph = entry->graph;
-        spec.input_mapping = entry->input_mapping;
-        size_t removed = ml::CompressTreesWithRanges(&spec.graph, ranges);
-        if (removed == 0) return Status::OK();
-        stats_.tree_nodes_compressed += removed;
-        FLOCK_RETURN_NOT_OK(spec.graph.Finalize());
-        FLOCK_RETURN_NOT_OK(
-            models_->RegisterSpecialization(key, std::move(spec)));
+      std::optional<CompressionDecision> decision =
+          models_->FindCompression(key);
+      if (!decision.has_value()) {
+        decision.emplace();
+        // Count first: "no gain" is the common outcome and needs no copy.
+        size_t removable = ml::CountCompressibleTreeNodes(entry->graph,
+                                                          ranges);
+        std::optional<ModelEntry> spec;
+        if (removable > 0) {
+          spec.emplace();
+          spec->base_name = entry->base_name.empty()
+                                ? name.substr(0, name.find('#'))
+                                : entry->base_name;
+          spec->pipeline = entry->pipeline;
+          spec->graph = entry->graph;
+          spec->input_mapping = entry->input_mapping;
+          decision->tree_nodes_removed =
+              ml::CompressTreesWithRanges(&spec->graph, ranges);
+          FLOCK_RETURN_NOT_OK(spec->graph.Finalize());
+        }
+        decision->specialization = models_->StoreCompression(
+            std::move(key), decision->tree_nodes_removed, std::move(spec));
       }
-      call->children[0] = Expr::MakeLiteral(Value::String(key));
+      if (decision->specialization.empty()) return Status::OK();
+      stats_.tree_nodes_compressed += decision->tree_nodes_removed;
+      call->children[0] =
+          Expr::MakeLiteral(Value::String(decision->specialization));
+      // The specialization is only valid for the ranges this table
+      // version holds; pin the scan so a cached plan re-plans after DML.
+      scan->stats_version = table_version;
       return Status::OK();
     });
   });

@@ -30,7 +30,10 @@ namespace flock::flock {
 ///     decision-tree branches the data can never take.
 ///
 /// Rules 3-4 register internal specializations in the ModelRegistry under
-/// names like `churn#p1a2b#c3f4`; those names never leave the engine.
+/// names like `churn#p1a2b#cusersv3r7`; those names never leave the
+/// engine. Rule 4 memoizes each decision, including "no gain", in the
+/// registry under an exact key (see CompressionKey), so re-planning a
+/// statement over unchanged data neither copies nor compresses a model.
 class CrossOptimizer {
  public:
   struct Options {
@@ -50,7 +53,10 @@ class CrossOptimizer {
   /// engine may invoke it from concurrent query threads.
   Status Rewrite(sql::PlanPtr* plan);
 
-  Options* mutable_options() { return &options_; }
+  /// Replaces the rule switches for subsequent rewrites. Plans already
+  /// optimized keep the old ones: FlockEngine::set_cross_optimizer_options
+  /// also clears the plan cache.
+  void set_options(Options options);
   const Options& options() const { return options_; }
 
   /// Rewrite statistics from the most recent Rewrite call (for EXPLAIN-

@@ -502,6 +502,13 @@ void FlockEngine::set_enable_cross_optimizer(bool on) {
   sql_engine_.plan_cache()->Clear();
 }
 
+void FlockEngine::set_cross_optimizer_options(
+    CrossOptimizer::Options options) {
+  std::unique_lock<RwMutex> lock(engine_mu_);
+  cross_optimizer_.set_options(options);
+  sql_engine_.plan_cache()->Clear();
+}
+
 void FlockEngine::SetFeatureObserver(FeatureObserver* observer) {
   context_->observer.store(observer, std::memory_order_release);
 }

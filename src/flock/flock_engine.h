@@ -85,8 +85,10 @@ struct FlockEngineOptions {
 /// which require the exclusive lock — so a scoring query holding the
 /// shared lock can never observe a dangling ModelEntry. The SQL plan
 /// cache is invalidated under the exclusive lock by every DDL statement,
-/// model (re)deploy, and catalog refresh; stale plans (dropped tables,
-/// superseded model specializations) are therefore unreachable.
+/// model (re)deploy, catalog refresh and cross-optimizer setting change;
+/// stale plans (dropped tables, superseded model specializations) are
+/// therefore unreachable. A plan compressed to a table's statistics is
+/// dropped at lookup once DML has moved that table's version.
 ///
 /// The non-Execute accessors (database(), sql(), models(), ...) are for
 /// single-threaded setup/inspection and do not take the lock.
@@ -223,6 +225,11 @@ class FlockEngine {
   bool enable_cross_optimizer() const {
     return enable_cross_optimizer_.load(std::memory_order_acquire);
   }
+
+  /// Replaces the cross-optimizer's rule switches. Like
+  /// set_enable_cross_optimizer, takes the exclusive lock and clears the
+  /// plan cache, so cached statements re-plan under the new rules.
+  void set_cross_optimizer_options(CrossOptimizer::Options options);
 
  private:
   /// True when `sql` is a plain SELECT/EXPLAIN — the only statements a

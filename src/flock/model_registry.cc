@@ -29,6 +29,25 @@ void ModelRegistry::AnalyzeEntry(ModelEntry* entry) {
   for (const ml::GraphNode& node : nodes) {
     if (node.op == ml::OpType::kTreeEnsemble) entry->tree_node_id = node.id;
   }
+  entry->used_inputs = entry->graph.UsedInputColumns();
+}
+
+void ModelRegistry::RetireDerivedLocked(const std::string& key) {
+  const std::string prefix = key + "#";
+  for (auto it = specializations_.begin(); it != specializations_.end();) {
+    if (StartsWith(it->first, prefix)) {
+      it = specializations_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (auto it = compressions_.begin(); it != compressions_.end();) {
+    if (it->first.model == key || StartsWith(it->first.model, prefix)) {
+      it = compressions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 Status ModelRegistry::Register(const std::string& name,
@@ -52,13 +71,7 @@ Status ModelRegistry::Register(const std::string& name,
   }
   history.push_back(entry);
   // Invalidate cached specializations of this model.
-  for (auto it = specializations_.begin(); it != specializations_.end();) {
-    if (StartsWith(it->first, Key(name) + "#")) {
-      it = specializations_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  RetireDerivedLocked(Key(name));
   audit_log_.push_back(AuditEvent{AuditEvent::Kind::kRegister, name,
                                   created_by, entry->version, 0});
   return Status::OK();
@@ -100,6 +113,7 @@ void ModelRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   models_.clear();
   specializations_.clear();
+  compressions_.clear();
   audit_log_.clear();
 }
 
@@ -111,14 +125,7 @@ Status ModelRegistry::Drop(const std::string& name,
     return Status::NotFound("model not found: " + name);
   }
   models_.erase(it);
-  for (auto sit = specializations_.begin();
-       sit != specializations_.end();) {
-    if (StartsWith(sit->first, Key(name) + "#")) {
-      sit = specializations_.erase(sit);
-    } else {
-      ++sit;
-    }
-  }
+  RetireDerivedLocked(Key(name));
   audit_log_.push_back(
       AuditEvent{AuditEvent::Kind::kDrop, name, principal, 0, 0});
   return Status::OK();
@@ -227,7 +234,13 @@ Status ModelRegistry::RegisterSpecialization(const std::string& key,
   auto shared = std::make_shared<ModelEntry>(std::move(entry));
   AnalyzeEntry(shared.get());
   std::lock_guard<std::mutex> lock(mu_);
-  specializations_[Key(key)] = std::move(shared);
+  auto [it, inserted] = specializations_.try_emplace(Key(key), shared);
+  if (!inserted) {
+    // A replaced entry (a new rollout candidate) invalidates everything
+    // derived from the old one.
+    RetireDerivedLocked(it->first);
+    it->second = std::move(shared);
+  }
   audit_log_.push_back(AuditEvent{AuditEvent::Kind::kSpecialize, key,
                                   "optimizer", 0, 0});
   return Status::OK();
@@ -251,16 +264,66 @@ bool ModelRegistry::HasSpecialization(const std::string& key) const {
 void ModelRegistry::RemoveSpecialization(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   specializations_.erase(Key(key));
+  RetireDerivedLocked(Key(key));
 }
 
 void ModelRegistry::ClearSpecializations() {
   std::lock_guard<std::mutex> lock(mu_);
   specializations_.clear();
+  compressions_.clear();
 }
 
 size_t ModelRegistry::num_specializations() const {
   std::lock_guard<std::mutex> lock(mu_);
   return specializations_.size();
+}
+
+std::optional<CompressionDecision> ModelRegistry::FindCompression(
+    const CompressionKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = compressions_.find(key);
+  if (it == compressions_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::string ModelRegistry::StoreCompression(
+    CompressionKey key, size_t nodes_removed,
+    std::optional<ModelEntry> spec) {
+  std::shared_ptr<ModelEntry> shared;
+  if (spec.has_value()) {
+    shared = std::make_shared<ModelEntry>(std::move(*spec));
+    AnalyzeEntry(shared.get());
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  // Plans for newer data no longer look these decisions up. Their
+  // specializations stay: a running statement may still score with one.
+  for (auto it = compressions_.begin(); it != compressions_.end();) {
+    if (it->first.table == key.table &&
+        it->first.table_version < key.table_version) {
+      it = compressions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  CompressionDecision decision;
+  if (shared != nullptr) {
+    decision.specialization = key.model + "#c" + Key(key.table) + "v" +
+                              std::to_string(key.table_version) + "r" +
+                              std::to_string(next_compression_id_++);
+    decision.tree_nodes_removed = nodes_removed;
+    shared->name = decision.specialization;
+    specializations_[decision.specialization] = std::move(shared);
+    audit_log_.push_back(AuditEvent{AuditEvent::Kind::kSpecialize,
+                                    decision.specialization, "optimizer",
+                                    0, 0});
+  }
+  compressions_[std::move(key)] = decision;
+  return decision.specialization;
+}
+
+size_t ModelRegistry::num_compression_decisions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return compressions_.size();
 }
 
 }  // namespace flock::flock

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,6 +67,34 @@ struct ModelEntry {
   /// Training-time feature statistics (from the pipeline's scaler) for
   /// drift monitoring.
   TrainingProfile training_profile;
+  /// Graph inputs that can influence the output (FeaturePruning drops
+  /// the others).
+  std::vector<bool> used_inputs;
+};
+
+/// Exact identity of one ModelCompression decision: the entry being
+/// compressed, the table whose statistics bounded its inputs, and the bit
+/// patterns of every range bound. The decision itself depends only on the
+/// entry and the ranges; the table and version tie its lifetime to the
+/// data it was derived from.
+struct CompressionKey {
+  /// Registry key (lower-case) of the entry compressed: a model or one
+  /// of its specializations.
+  std::string model;
+  std::string table;
+  uint64_t table_version = 0;
+  /// Per graph input: 0 when the range is unknown, else 1 followed by
+  /// the bit patterns of its min and max.
+  std::vector<uint64_t> bounds;
+
+  auto operator<=>(const CompressionKey&) const = default;
+};
+
+/// A memoized ModelCompression decision: the specialization compression
+/// produced and the tree nodes it removed, or "no gain" (empty name).
+struct CompressionDecision {
+  std::string specialization;
+  size_t tree_nodes_removed = 0;
 };
 
 /// One entry in the registry's audit trail.
@@ -149,11 +178,27 @@ class ModelRegistry {
   StatusOr<const ModelEntry*> GetSpecialization(
       const std::string& key) const;
   bool HasSpecialization(const std::string& key) const;
-  /// Removes one specialization (no-op if absent). Lifecycle rollouts
-  /// install candidates as specializations and retire them here.
+  /// Removes one specialization (no-op if absent), together with every
+  /// specialization and compression decision derived from it. Lifecycle
+  /// rollouts install candidates as specializations and retire them here.
   void RemoveSpecialization(const std::string& key);
+  /// Drops every specialization and every compression decision.
   void ClearSpecializations();
   size_t num_specializations() const;
+
+  /// The memoized ModelCompression decision for `key`, if one is stored.
+  std::optional<CompressionDecision> FindCompression(
+      const CompressionKey& key) const;
+  /// Stores the decision for `key`. With `spec`, compression removed
+  /// `nodes_removed` tree nodes: `spec` is registered as a specialization
+  /// under a fresh name, which is returned. Without it the decision is
+  /// "no gain" and the name is empty. Decisions derived from an older
+  /// version of the same table are dropped. A redeploy or drop of the
+  /// model, or retiring the specialization compressed, drops the
+  /// decisions about it.
+  std::string StoreCompression(CompressionKey key, size_t nodes_removed,
+                               std::optional<ModelEntry> spec);
+  size_t num_compression_decisions() const;
 
   /// A copy of the audit trail, taken under the registry lock.
   std::vector<AuditEvent> audit_log() const;
@@ -164,10 +209,17 @@ class ModelRegistry {
   static void AnalyzeEntry(ModelEntry* entry);
 
  private:
+  /// Erases the specializations derived from `key` (`key#...`) and the
+  /// compression decisions about `key` or any of them. Caller holds mu_.
+  void RetireDerivedLocked(const std::string& key);
+
   mutable std::mutex mu_;
   // name -> version history (back() is latest).
   std::map<std::string, std::vector<std::shared_ptr<ModelEntry>>> models_;
   std::map<std::string, std::shared_ptr<ModelEntry>> specializations_;
+  std::map<CompressionKey, CompressionDecision> compressions_;
+  /// Suffix of the next compressed specialization's name.
+  uint64_t next_compression_id_ = 1;
   mutable std::vector<AuditEvent> audit_log_;
 };
 

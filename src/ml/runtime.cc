@@ -283,7 +283,37 @@ int32_t PruneSubtree(const Tree& tree, int32_t idx,
   return static_cast<int32_t>(slot);
 }
 
+/// Number of nodes PruneSubtree would emit for the subtree at `idx`,
+/// without building it.
+size_t CountKeptNodes(const Tree& tree, int32_t idx,
+                      const std::vector<ColumnRange>& ranges) {
+  const TreeNode& n = tree.nodes[static_cast<size_t>(idx)];
+  if (n.is_leaf()) return 1;
+  const ColumnRange& r = ranges[static_cast<size_t>(n.feature)];
+  if (r.known) {
+    if (r.max < n.threshold) return CountKeptNodes(tree, n.left, ranges);
+    if (r.min >= n.threshold) return CountKeptNodes(tree, n.right, ranges);
+  }
+  return 1 + CountKeptNodes(tree, n.left, ranges) +
+         CountKeptNodes(tree, n.right, ranges);
+}
+
 }  // namespace
+
+size_t CountCompressibleTreeNodes(
+    const ModelGraph& graph, const std::vector<ColumnRange>& input_ranges) {
+  size_t removed = 0;
+  for (const GraphNode& node : graph.nodes()) {
+    if (node.op != OpType::kTreeEnsemble || node.trees.empty()) continue;
+    std::vector<ColumnRange> feature_ranges =
+        PropagateRanges(graph, node.inputs[0], input_ranges);
+    if (feature_ranges.empty()) continue;
+    for (const Tree& tree : node.trees) {
+      removed += tree.nodes.size() - CountKeptNodes(tree, 0, feature_ranges);
+    }
+  }
+  return removed;
+}
 
 size_t CompressTreesWithRanges(ModelGraph* graph,
                                const std::vector<ColumnRange>& input_ranges) {

@@ -58,6 +58,11 @@ std::vector<ColumnRange> PropagateRanges(
 size_t CompressTreesWithRanges(ModelGraph* graph,
                                const std::vector<ColumnRange>& input_ranges);
 
+/// The number of tree nodes CompressTreesWithRanges would remove, computed
+/// without copying or modifying the graph.
+size_t CountCompressibleTreeNodes(const ModelGraph& graph,
+                                  const std::vector<ColumnRange>& input_ranges);
+
 }  // namespace flock::ml
 
 #endif  // FLOCK_ML_RUNTIME_H_

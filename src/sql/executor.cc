@@ -105,6 +105,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
       AggSpec spec;
       spec.fn = agg->function_name;
       spec.distinct = agg->distinct;
+      spec.min_max = spec.fn == "MIN" || spec.fn == "MAX";
       if (agg->children.empty() ||
           agg->children[0]->kind == ExprKind::kStar) {
         spec.star = true;
@@ -177,6 +178,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
         }
         ++s.count;
         s.sum += arg.AsDouble(r);
+        if (!spec.min_max) continue;
         Value v = arg.GetValue(r);
         if (!s.has_value) {
           s.min = v;
@@ -280,6 +282,7 @@ class Executor::AggregateSink : public Executor::PipelineSink {
     std::string fn;        // COUNT/SUM/AVG/MIN/MAX
     bool star = false;     // COUNT(*)
     bool distinct = false;
+    bool min_max = false;  // MIN/MAX: the only specs that track min, max
     const Expr* arg = nullptr;  // null when star
   };
   struct AggState {

@@ -10,6 +10,7 @@ PlanPtr LogicalPlan::Clone() const {
   out->table_name = table_name;
   out->table = table;
   out->projection = projection;
+  out->stats_version = stats_version;
   out->predicate = predicate ? predicate->Clone() : nullptr;
   out->exprs.reserve(exprs.size());
   for (const auto& e : exprs) out->exprs.push_back(e->Clone());

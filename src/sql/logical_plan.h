@@ -2,6 +2,7 @@
 #define FLOCK_SQL_LOGICAL_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,10 @@ struct LogicalPlan {
   std::string table_name;
   storage::TablePtr table;            // resolved by the planner
   std::vector<size_t> projection;     // column subset (empty = all)
+  /// Set when a rewrite baked this table's statistics, as of this table
+  /// version, into the plan (a model compressed to the value ranges the
+  /// table held). The plan cache re-plans once the version moves.
+  std::optional<uint64_t> stats_version;
 
   // kFilter
   ExprPtr predicate;

@@ -63,26 +63,52 @@ PlanPtr PlanCache::Lookup(const std::string& key) {
     ++stats_.misses;
     return nullptr;
   }
+  for (const auto& [table, version] : it->second->pins) {
+    if (table->current_version() != version) {
+      // The plan was specialized on statistics the table no longer has.
+      lru_.erase(it->second);
+      index_.erase(it);
+      ++stats_.invalidations;
+      ++stats_.misses;
+      return nullptr;
+    }
+  }
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.hits;
-  return it->second->second->Clone();
+  return it->second->plan->Clone();
 }
+
+namespace {
+
+void CollectPins(const LogicalPlan& plan,
+                 std::vector<std::pair<storage::TablePtr, uint64_t>>* pins) {
+  if (plan.kind == PlanKind::kScan && plan.stats_version.has_value() &&
+      plan.table != nullptr) {
+    pins->emplace_back(plan.table, *plan.stats_version);
+  }
+  for (const auto& child : plan.children) CollectPins(*child, pins);
+}
+
+}  // namespace
 
 void PlanCache::Insert(const std::string& key, PlanPtr plan) {
   if (capacity_ == 0 || plan == nullptr) return;
+  std::vector<std::pair<storage::TablePtr, uint64_t>> pins;
+  CollectPins(*plan, &pins);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(plan);
+    it->second->plan = std::move(plan);
+    it->second->pins = std::move(pins);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().first);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.invalidations;
   }
-  lru_.emplace_front(key, std::move(plan));
+  lru_.push_front(Entry{key, std::move(plan), std::move(pins)});
   index_[key] = lru_.begin();
   ++stats_.insertions;
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "sql/logical_plan.h"
 
@@ -31,7 +32,9 @@ struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
-  uint64_t invalidations = 0;  // entries dropped by Clear()
+  /// Entries dropped by Clear(), by LRU eviction, or at lookup because
+  /// a table their plan was specialized on has changed.
+  uint64_t invalidations = 0;
 
   double hit_rate() const {
     uint64_t total = hits + misses;
@@ -47,10 +50,19 @@ struct PlanCacheStats {
 ///
 /// Invalidation contract: cached plans embed resolved storage::TablePtr
 /// handles and (after cross-optimization) specialized model names, so any
-/// DDL — CREATE/DROP TABLE, CREATE/DROP MODEL — and any model redeploy
-/// must Clear() the cache. Plain DML does not: scans read the live table
-/// through the resolved handle. SqlEngine and FlockEngine enforce this;
-/// see SqlEngine::Execute and FlockEngine's locking contract.
+/// DDL — CREATE/DROP TABLE, CREATE/DROP MODEL — any model redeploy and
+/// any change to the planner's settings must Clear() the cache.
+/// SqlEngine and FlockEngine enforce this; see SqlEngine::Execute and
+/// FlockEngine's locking contract.
+///
+/// Plain DML clears nothing: scans read the live table through the
+/// resolved handle and prune segments at execution time. The exception is
+/// a plan that embeds a table's statistics, as a model specialization
+/// compressed to the value ranges the table held at plan time does. Such
+/// a plan marks its scan with `LogicalPlan::stats_version`; Insert
+/// records those (table, version) pins and Lookup drops the entry, as a
+/// miss, once any pinned table has moved to another version. Plans
+/// without pins survive DML.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -75,7 +87,13 @@ class PlanCache {
   PlanCacheStats stats() const;
 
  private:
-  using LruList = std::list<std::pair<std::string, PlanPtr>>;
+  struct Entry {
+    std::string key;
+    PlanPtr plan;
+    /// Tables whose statistics the plan embeds, at the version it read.
+    std::vector<std::pair<storage::TablePtr, uint64_t>> pins;
+  };
+  using LruList = std::list<Entry>;
 
   size_t capacity_;
   mutable std::mutex mu_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -486,6 +487,285 @@ TEST_F(FlockEngineTest, NullFeaturesGoThroughImputer) {
   EXPECT_FALSE(std::isnan(s));
   EXPECT_GE(s, 0.0);
   EXPECT_LE(s, 1.0);
+}
+
+TEST_F(FlockEngineTest, CrossOptimizerOptionsChangeReplansCachedStatement) {
+  // Options changes clear the plan cache like the master switch does: the
+  // cached statement re-plans under the new rules, and again when they
+  // are restored.
+  const std::string query = "SELECT id FROM users WHERE income > 50 AND " +
+                            PredictCall() + " > 0.7 ORDER BY id";
+  const auto& stats = engine_.cross_optimizer()->stats();
+  auto pushed = Exec(query);
+  EXPECT_EQ(stats.predicates_pushed_up, 1u);
+  EXPECT_TRUE(Exec(query).from_plan_cache);
+
+  CrossOptimizer::Options no_pushup;
+  no_pushup.predicate_pushup = false;
+  engine_.set_cross_optimizer_options(no_pushup);
+  EXPECT_FALSE(engine_.cross_optimizer()->options().predicate_pushup);
+  auto plain = Exec(query);
+  EXPECT_FALSE(plain.from_plan_cache);
+  EXPECT_EQ(stats.predicates_pushed_up, 0u);
+  EXPECT_NE(plain.plan_digest, pushed.plan_digest);
+  EXPECT_EQ(Exec("EXPLAIN " + query).plan_text.find("PREDICT_GT"),
+            std::string::npos);
+
+  engine_.set_cross_optimizer_options(CrossOptimizer::Options{});
+  auto again = Exec(query);
+  EXPECT_FALSE(again.from_plan_cache);
+  EXPECT_EQ(stats.predicates_pushed_up, 1u);
+  EXPECT_EQ(again.plan_digest, pushed.plan_digest);
+
+  ASSERT_EQ(plain.batch.num_rows(), pushed.batch.num_rows());
+  for (size_t i = 0; i < pushed.batch.num_rows(); ++i) {
+    EXPECT_EQ(plain.batch.column(0)->int_at(i),
+              pushed.batch.column(0)->int_at(i));
+  }
+}
+
+TEST_F(FlockEngineTest, UncompressedPlanSurvivesInsert) {
+  // The users table spans the whole training range, so compression finds
+  // nothing to fold for a point query: the plan embeds no statistics and
+  // DML must not evict it.
+  const std::string query =
+      "SELECT id, " + PredictCall() + " FROM users WHERE id = 7";
+  const auto& stats = engine_.cross_optimizer()->stats();
+  auto first = Exec(query);
+  EXPECT_FALSE(first.from_plan_cache);
+  EXPECT_EQ(stats.tree_nodes_compressed, 0u);
+  Exec("INSERT INTO users (id, age, income, tenure, clicks, n0, n1, n2, "
+       "n3, plan) VALUES (5000, 33.0, 70.0, 2.0, 10.0, 0, 0, 0, 0, 'pro')");
+  auto after = Exec(query);
+  EXPECT_TRUE(after.from_plan_cache);
+  ASSERT_EQ(after.batch.num_rows(), 1u);
+  EXPECT_EQ(after.batch.column(1)->double_at(0),
+            first.batch.column(1)->double_at(0));
+}
+
+TEST_F(FlockEngineTest, ConcurrentMissesSpecializeOncePerKey) {
+  // A copy of the users table sorted by age, in 500-row segments: a point
+  // query's surviving segment bounds age to a narrow band, so every
+  // segment is its own compression key. Eight threads run distinct
+  // point queries (all plan-cache misses); the scores must equal a serial
+  // run bit for bit, and each key must be specialized once.
+  constexpr size_t kSegmentRows = 500;
+  constexpr size_t kThreads = 8;
+  constexpr size_t kPerThread = 25;
+  auto users = engine_.database()->GetTable("users");
+  ASSERT_TRUE(users.ok());
+  ASSERT_TRUE(engine_.database()
+                  ->CreateTable("cohort", (*users)->schema(), kSegmentRows)
+                  .ok());
+  auto cohort = engine_.database()->GetTable("cohort");
+  ASSERT_TRUE(cohort.ok());
+  {
+    storage::RecordBatch all = (*users)->ScanAll();
+    std::vector<size_t> order(all.num_rows());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return all.column(1)->double_at(a) < all.column(1)->double_at(b);
+    });
+    storage::RecordBatch sorted((*users)->schema());
+    for (size_t rank = 0; rank < order.size(); ++rank) {
+      std::vector<Value> row = all.GetRow(order[rank]);
+      row[0] = Value::Int(static_cast<int64_t>(rank));
+      ASSERT_TRUE(sorted.AppendRow(row).ok());
+    }
+    ASSERT_TRUE((*cohort)->AppendBatch(sorted).ok());
+  }
+  ASSERT_EQ((*cohort)->num_segments(), kRows / kSegmentRows);
+
+  const size_t stride = kRows / (kThreads * kPerThread);
+  std::vector<std::string> statements;
+  for (size_t q = 0; q < kThreads * kPerThread; ++q) {
+    statements.push_back("SELECT id, " + PredictCall() +
+                         " FROM cohort WHERE id = " +
+                         std::to_string(q * stride));
+  }
+  auto specialized = [&] {
+    std::vector<std::string> names;
+    for (const AuditEvent& e : engine_.models()->audit_log()) {
+      if (e.kind == AuditEvent::Kind::kSpecialize &&
+          e.model.find("#c") != std::string::npos) {
+        names.push_back(e.model);
+      }
+    }
+    return names;
+  };
+
+  std::vector<double> concurrent(statements.size());
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t q = t; q < statements.size(); q += kThreads) {
+        auto r = engine_.Execute(statements[q]);
+        if (!r.ok() || r->from_plan_cache || r->batch.num_rows() != 1) {
+          failures.fetch_add(1);
+          continue;
+        }
+        concurrent[q] = r->batch.column(1)->double_at(0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0u);
+
+  // One decision per segment, and one specialization per positive one.
+  EXPECT_EQ(engine_.models()->num_compression_decisions(),
+            (*cohort)->num_segments());
+  std::vector<std::string> names = specialized();
+  EXPECT_GT(names.size(), 0u);
+  EXPECT_LE(names.size(), (*cohort)->num_segments());
+  std::vector<std::string> unique = names;
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  EXPECT_EQ(unique.size(), names.size());
+
+  // Serial re-plan: memo hits, the same specializations, the same bits.
+  engine_.sql()->plan_cache()->Clear();
+  for (size_t q = 0; q < statements.size(); ++q) {
+    auto serial = Exec(statements[q]);
+    ASSERT_EQ(serial.batch.num_rows(), 1u);
+    EXPECT_FALSE(serial.from_plan_cache);
+    EXPECT_EQ(serial.batch.column(1)->double_at(0), concurrent[q])
+        << statements[q];
+  }
+  EXPECT_EQ(specialized(), names);
+
+  // And the uncompressed model agrees.
+  engine_.set_enable_cross_optimizer(false);
+  for (size_t q = 0; q < statements.size(); ++q) {
+    auto plain = Exec(statements[q]);
+    ASSERT_EQ(plain.batch.num_rows(), 1u);
+    EXPECT_EQ(plain.batch.column(1)->double_at(0), concurrent[q])
+        << statements[q];
+  }
+}
+
+// --- compression decisions keyed on exact statistics ----------------------
+
+TEST(CrossOptimizerCompressionTest, CompressedPlanReplansAfterInsert) {
+  // A GBDT trained on ages 20-70 scores a table that holds ages 20-30
+  // only. Compression folds every split above 30; a row inserted at age 69
+  // must not be scored by that specialization from the plan cache.
+  FlockEngineOptions options;
+  options.sql.num_threads = 1;
+  FlockEngine engine(options);
+  ASSERT_TRUE(
+      engine.Execute("CREATE TABLE users (id INT, age DOUBLE, income DOUBLE)")
+          .ok());
+
+  Random rng(77);
+  constexpr size_t kTrain = 2000;
+  ml::Matrix raw(kTrain, 2);
+  std::vector<double> labels(kTrain);
+  for (size_t i = 0; i < kTrain; ++i) {
+    raw.at(i, 0) = 20 + rng.NextDouble() * 50;
+    raw.at(i, 1) = 30 + rng.NextDouble() * 120;
+    double z = 0.1 * (raw.at(i, 0) - 45) - 0.02 * (raw.at(i, 1) - 90) +
+               rng.NextGaussian() * 0.3;
+    labels[i] = z > 0 ? 1.0 : 0.0;
+  }
+  ml::Pipeline pipeline;
+  pipeline.SetInputs({ml::FeatureSpec{"age", ml::FeatureKind::kNumeric, {}},
+                      ml::FeatureSpec{"income", ml::FeatureKind::kNumeric,
+                                      {}}});
+  pipeline.set_task(ml::ModelTask::kBinaryClassification);
+  pipeline.FitFeaturizers(raw, true, true);
+  ml::Dataset features;
+  features.x = pipeline.Transform(raw);
+  features.y = labels;
+  ml::GbtOptions gbt;
+  gbt.num_trees = 20;
+  gbt.max_depth = 4;
+  pipeline.SetTreeModel(ml::TrainGradientBoosting(features, gbt));
+  ASSERT_TRUE(engine.DeployModel("churn", pipeline).ok());
+
+  std::string insert = "INSERT INTO users VALUES ";
+  for (int i = 0; i < 100; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " +
+              std::to_string(20 + rng.NextDouble() * 10) + ", " +
+              std::to_string(30 + rng.NextDouble() * 120) + ")";
+  }
+  ASSERT_TRUE(engine.Execute(insert).ok());
+
+  const std::string query =
+      "SELECT id, PREDICT(churn, age, income) FROM users WHERE id >= 0";
+  auto first = engine.Execute(query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GT(engine.cross_optimizer()->stats().tree_nodes_compressed, 0u);
+  auto cached = engine.Execute(query);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached->from_plan_cache);
+
+  ASSERT_TRUE(
+      engine.Execute("INSERT INTO users VALUES (1000, 69.0, 40.0)").ok());
+  auto after = engine.Execute(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->from_plan_cache);
+  ASSERT_EQ(after->batch.num_rows(), 101u);
+  bool saw_new_row = false;
+  for (size_t r = 0; r < after->batch.num_rows(); ++r) {
+    if (after->batch.column(0)->int_at(r) != 1000) continue;
+    saw_new_row = true;
+    const double row[] = {69.0, 40.0};
+    EXPECT_NEAR(after->batch.column(1)->double_at(r), pipeline.ScoreRow(row),
+                1e-9);
+  }
+  EXPECT_TRUE(saw_new_row);
+}
+
+TEST(CrossOptimizerCompressionTest, NearbyBoundsDoNotShareSpecialization) {
+  // Two trees split at age < 45.0000003 (left leaf 1, right leaf 2). The
+  // first query's bound lies above the split and folds both trees; the
+  // second's lies 2e-7 lower, below the split, and must not reuse that
+  // specialization.
+  FlockEngineOptions options;
+  options.sql.num_threads = 1;
+  FlockEngine engine(options);
+  ml::Pipeline pipeline;
+  pipeline.SetInputs({ml::FeatureSpec{"age", ml::FeatureKind::kNumeric, {}}});
+  ml::TreeEnsembleModel model;
+  for (int t = 0; t < 2; ++t) {
+    ml::TreeNode root;
+    root.feature = 0;
+    root.threshold = 45.0000003;
+    root.left = 1;
+    root.right = 2;
+    ml::TreeNode left, right;
+    left.feature = -1;
+    left.value = 1.0;
+    right.feature = -1;
+    right.value = 2.0;
+    ml::Tree tree;
+    tree.nodes = {root, left, right};
+    model.trees.push_back(tree);
+  }
+  pipeline.SetTreeModel(model);
+  ASSERT_TRUE(engine.DeployModel("m", pipeline).ok());
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, age DOUBLE)").ok());
+  ASSERT_TRUE(engine
+                  .Execute("INSERT INTO t VALUES (1, 45.00000025), "
+                           "(2, 50.0), (3, 40.0)")
+                  .ok());
+
+  size_t compressed = 0;
+  for (const char* bound : {"45.0000004", "45.0000002"}) {
+    auto r = engine.Execute(std::string("SELECT id, PREDICT(m, age), age "
+                                        "FROM t WHERE age > ") +
+                            bound);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    compressed += engine.cross_optimizer()->stats().tree_nodes_compressed;
+    for (size_t i = 0; i < r->batch.num_rows(); ++i) {
+      const double age = r->batch.column(2)->double_at(i);
+      EXPECT_EQ(r->batch.column(1)->double_at(i), pipeline.ScoreRow(&age))
+          << "bound " << bound << ", id " << r->batch.column(0)->int_at(i);
+    }
+  }
+  EXPECT_GT(compressed, 0u);  // the first query did specialize
 }
 
 // --- scoring unit checks ---------------------------------------------------

@@ -165,7 +165,8 @@ TEST_P(PipelineEquivalenceTest, RangeCompressionSoundInsideBox) {
   if (categorical) box[numeric] = ColumnRange{0, 3, true};
 
   ModelGraph compressed = *graph;
-  CompressTreesWithRanges(&compressed, box);
+  const size_t counted = CountCompressibleTreeNodes(*graph, box);
+  EXPECT_EQ(CompressTreesWithRanges(&compressed, box), counted);
   GraphRuntime full(&*graph);
   GraphRuntime small(&compressed);
 

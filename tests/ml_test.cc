@@ -485,6 +485,7 @@ TEST(GraphTest, CompressionPreservesInRangeScores) {
   ModelGraph compressed = *graph;
   size_t removed = CompressTreesWithRanges(&compressed, ranges);
   EXPECT_GT(removed, 0u);
+  EXPECT_EQ(CountCompressibleTreeNodes(*graph, ranges), removed);
   EXPECT_EQ(compressed.TotalTreeNodes(), before - removed);
 
   GraphRuntime full(&*graph);
